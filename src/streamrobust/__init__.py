@@ -17,6 +17,7 @@ from .core import (
     INV_SQRT,
     L1,
     L2,
+    NonFiniteError,
     OutlierDistribution,
     PointMass,
     RegressionModel,
@@ -42,8 +43,6 @@ from .analytic import (
     pred_error_sigma,
 )
 from .datagen import (
-    inject_outliers,
-    multi_pass_stream,
     sample_arrays,
     sample_stream,
     stream_samples,
@@ -75,6 +74,7 @@ __all__ = [
     "Identity",
     "L1",
     "L2",
+    "NonFiniteError",
     "OutlierDistribution",
     "PointMass",
     "RegressionModel",
@@ -100,9 +100,7 @@ __all__ = [
     "gradient",
     "gradient_scale",
     "hessian_at_optimum",
-    "inject_outliers",
     "mc_expected_loss",
-    "multi_pass_stream",
     "no_outliers",
     "oracle_ls_run",
     "point_outliers",

@@ -32,8 +32,8 @@ from .core import (
     short_digest,
     substream,
 )
-from .datagen import inject_outliers, multi_pass_stream, sample_stream, tiered_contamination
-from .optimizer import default_checkpoints, default_gamma0, oracle_ls_run, run
+from .datagen import array_chunks, sample_arrays, tiered_contamination
+from .optimizer import Estimator, default_checkpoints, default_gamma0, oracle_digest, run_batch, run_digest
 
 CONVERGENCE_LOSSES = ("l1", "l2", "huber", "oracle")
 BREAKDOWN_ESTIMATORS = ("l1", "l2", "huber", "huber_x30", "oracle")
@@ -320,10 +320,16 @@ def _contamination(n: int, eta: float, preset: str, value: float, seed: int) -> 
 
 
 def _corrupted_stream(model, n, eta, preset, value, passes, seed):
-    clean = sample_stream(model, n, derive_seed(seed, "data"))
+    """A cell's stream as (X, y + b, corrupted, order).
+
+    X is stored once; each of the `passes` passes visits every row once, in
+    its own seeded permutation, and `order` concatenates those permutations.
+    """
+    x, y, b_model = sample_arrays(model, n, derive_seed(seed, "data"))
     b = _contamination(n, eta, preset, value, derive_seed(seed, "contam"))
-    corrupted = inject_outliers(clean, b)
-    return multi_pass_stream(corrupted, passes, derive_seed(seed, "order"))
+    order_seed = derive_seed(seed, "order")
+    order = np.concatenate([substream(order_seed, "pass", p).permutation(n) for p in range(passes)])
+    return x, y + b, (b_model != 0.0) | (b != 0.0), order
 
 
 def _loss_for(name: str, tau: float):
@@ -339,21 +345,31 @@ def _loss_for(name: str, tau: float):
 
 
 def _run_estimators(names, stream, model, gamma0, tau, n_steps, cell_seed) -> Dict[str, RunRecord]:
+    """Every estimator of a cell in one engine pass over the cell's stream.
+
+    The oracle steps on the clean rows of every pass; the others take
+    n_steps steps with gamma0 / sqrt(n).
+    """
+    x, y, corrupted, order = stream
     g0 = default_gamma0(model) if gamma0 is None else gamma0
-    out = {}
+    theta0 = np.zeros(model.d)
+    rows = []
     for name in names:
         if name == "oracle":
-            out[name] = oracle_ls_run(stream, 0.5 * g0, model=model)
-        else:
-            out[name] = run(
-                iter(stream),
-                _loss_for(name, tau),
-                StepSchedule(g0, INV_SQRT),
-                n_steps,
-                model=model,
-                seed=cell_seed,
+            n_clean = int(np.count_nonzero(~corrupted[order]))
+            if n_clean == 0:
+                raise ValueError(f"all {order.size} samples are corrupted, nothing to run on")
+            digest = oracle_digest(0.5 * g0, n_clean, order.size, n_clean, model)
+            rows.append(
+                Estimator(L2(), StepSchedule(0.5 * g0, CONSTANT), n_clean, clean_only=True, digest=digest)
             )
-    return out
+        else:
+            loss, schedule = _loss_for(name, tau), StepSchedule(g0, INV_SQRT)
+            plan = default_checkpoints(n_steps)
+            digest = run_digest(loss, schedule, n_steps, cell_seed, model, theta0, plan)
+            rows.append(Estimator(loss, schedule, n_steps, plan, digest=digest, seed=cell_seed))
+    records = run_batch(rows, array_chunks(x, y, corrupted, order), model, theta0)
+    return dict(zip(names, records))
 
 
 def _convergence_cell(args):

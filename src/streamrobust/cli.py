@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the harness: `verify` runs the numerical
 check suite, `convergence` and `breakdown` run the experiments and write
 their tables plus a manifest into the output directory. Configuration is a
 flat INI file, one section per subcommand. Exit codes: 0 on success, 1 when
-a check or comparison fails, 2 for usage and configuration errors.
+a check fails or an estimator diverges, 2 for usage and configuration errors.
 
 Seed precedence, highest first: `--seed` flag, then the STREAMROBUST_SEED
 environment variable, then the config file, then the built-in default. All
@@ -35,6 +35,7 @@ from .bench import (
     render_loglog_svg,
     table_svg,
 )
+from .core import NonFiniteError
 from .verify import DEFAULT_SUITE_SEED, CHECK_GROUPS, report_lines, run_suite, suite_passed
 
 ENV_SEED = "STREAMROBUST_SEED"
@@ -125,6 +126,10 @@ def _prepare_out_dir(raw: str) -> Path:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    given = {"--config": args.config is not None, "--jobs": args.jobs is not None, "--svg": args.svg}
+    ignored = [flag for flag, present in given.items() if present]
+    if ignored:
+        return _fail_usage(f"verify does not take {', '.join(ignored)}")
     seed = _resolve_seed(args.seed, None, DEFAULT_SUITE_SEED)
     try:
         results = run_suite(seed=seed, only=args.only)
@@ -236,6 +241,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # raised by usage helpers
         code = exc.code
         return code if isinstance(code, int) else 2
+    except NonFiniteError as exc:  # a diverged estimator is a failed run, not a nan cell
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -403,6 +403,10 @@ class Sample:
 # run records
 
 
+class NonFiniteError(ValueError):
+    """A response, residual, iterate or error came out NaN or infinite."""
+
+
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     """Checkpointed error trajectory of one run.
@@ -432,6 +436,8 @@ class RunRecord:
             vals = np.asarray(getattr(self, name), dtype=float)
             if vals.shape != steps.shape:
                 raise ValueError(f"{name} and steps must have matching length")
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteError(f"{name} contains a non-finite value")
             if np.any(vals < 0):
                 raise ValueError(f"{name} contains a negative value")
             object.__setattr__(self, name, vals)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -63,16 +63,26 @@ def sample_arrays(model: RegressionModel, n: int, seed: int) -> tuple:
     """First n samples as arrays (X, y, b); same values as sample_stream."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    xs, ys, bs = [], [], []
-    got = 0
-    for x, y, b in _chunk_arrays(model, seed):
-        xs.append(x)
-        ys.append(y)
-        bs.append(b)
-        got += CHUNK
-        if got >= n:
-            break
-    return np.vstack(xs)[:n], np.concatenate(ys)[:n], np.concatenate(bs)[:n]
+    xs, ys, bs = np.empty((n, model.d)), np.empty(n), np.empty(n)
+    for start, (x, y, b) in zip(range(0, n, CHUNK), _chunk_arrays(model, seed)):
+        stop = min(start + CHUNK, n)
+        xs[start:stop] = x[: stop - start]
+        ys[start:stop] = y[: stop - start]
+        bs[start:stop] = b[: stop - start]
+    return xs, ys, bs
+
+
+def array_chunks(x: np.ndarray, y: np.ndarray, corrupted: np.ndarray, order=None) -> Iterator[tuple]:
+    """(X, y, corrupted) chunks of at most CHUNK rows, visiting rows in `order`.
+
+    With `order` omitted the rows are visited as stored; a multi-pass stream
+    is one X with an order made of one permutation per pass.
+    """
+    if order is None:
+        order = np.arange(y.shape[0])
+    for start in range(0, order.size, CHUNK):
+        idx = order[start : start + CHUNK]
+        yield x[idx], y[idx], corrupted[idx]
 
 
 def tiered_contamination(n: int, eta: float, seed: int) -> np.ndarray:
@@ -104,37 +114,6 @@ def tiered_contamination(n: int, eta: float, seed: int) -> np.ndarray:
     if rest > 0:
         values[where[2 * fixed :]] = substream(seed, "value").uniform(1.0, 10.0, rest)
     return values
-
-
-def inject_outliers(samples: Sequence[Sample], b_values: np.ndarray) -> List[Sample]:
-    """Add corruption values to an existing stream, updating y and the flags."""
-    if len(samples) != len(b_values):
-        raise ValueError(f"{len(samples)} samples but {len(b_values)} corruption values")
-    out = []
-    for s, b in zip(samples, b_values):
-        b = float(b)
-        if b == 0.0:
-            out.append(s)
-        else:
-            out.append(Sample(s.x, s.y + b, True))
-    return out
-
-
-def multi_pass_stream(samples: Sequence[Sample], passes: int, seed: int) -> List[Sample]:
-    """Concatenation of `passes` independent seeded permutations of the input.
-
-    Each pass visits every sample exactly once (sampling without
-    replacement), so the result has length passes * len(samples) and every
-    input element appears exactly `passes` times.
-    """
-    if passes < 1:
-        raise ValueError(f"pass count must be >= 1, got {passes}")
-    samples = list(samples)
-    out: List[Sample] = []
-    for p in range(passes):
-        perm = substream(seed, "pass", p).permutation(len(samples))
-        out.extend(samples[i] for i in perm)
-    return out
 
 
 def dump_samples(samples: Sequence[Sample], path) -> None:

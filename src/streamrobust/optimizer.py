@@ -6,14 +6,35 @@ is theta += gamma_n sgn(y - <x, theta>) x, so its size is gamma_n ||x||
 regardless of how wild the response is; that single fact is the robustness
 mechanism. Iterates are averaged online and errors are checkpointed against
 the model known to the harness (the estimator itself never reads theta* or H).
+
+All estimators run on one batched engine, `run_batch`. It holds the iterates
+of K estimators as a (K, d) array and walks a shared stream of chunk arrays
+once, so the estimators of an experiment cell advance in lockstep on the
+same observations. Every loss is one influence function,
+
+    psi(r) = clip(r * s, -lo, lo):  L1 s = inf, lo = 1;  L2 lo = inf;  Huber lo = tau,
+
+and the per-row loop keeps only the dependent chain (residual, influence,
+rank-one update), pausing at checkpoint rows to read the iterates. The
+averaged iterate and min |r| are closed forms evaluated once per chunk from
+that chunk's coefficients. `sgd_step` is the one-observation scalar
+reference the engine is tested against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
+from numpy import add, matmul, multiply, subtract
+
+try:  # the bare ufunc: np.clip's argument checks cost more than the clip itself
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from .core import (
     CONSTANT,
@@ -21,6 +42,7 @@ from .core import (
     L1,
     L2,
     Loss,
+    NonFiniteError,
     RegressionModel,
     RunRecord,
     Sample,
@@ -30,7 +52,12 @@ from .core import (
     schedule_gamma,
     short_digest,
 )
-from .datagen import stream_samples
+from .datagen import _chunk_arrays, array_chunks
+
+# The L1 influence scales residuals by the largest double instead of inf:
+# every residual with |r| > gamma * 2**-1023 is clipped to its sign, and a
+# zero residual gives 0 rather than the NaN of 0 * inf.
+_SIGN_SCALE = np.finfo(float).max
 
 
 def default_gamma0(model: RegressionModel) -> float:
@@ -53,41 +80,39 @@ def default_checkpoints(n_steps: int, ratio: float = 1.25) -> np.ndarray:
     return np.array(sorted(marks), dtype=np.int64)
 
 
-def _apply_update(state: SgdState, x: np.ndarray, r: float, gamma: float) -> None:
-    """One update at step index state.n + 1, given the residual r.
+def sgd_step(state: SgdState, sample: Sample, schedule: StepSchedule) -> SgdState:
+    """Advance the state by one observation; mutates and returns `state`.
 
-    The running average is refreshed from the pre-update iterate, matching
-    the convention that theta_bar after n steps is the mean of
-    theta_0 .. theta_{n-1}. sgn(0) is taken to be 0 so a zero residual
-    leaves the iterate unchanged under the absolute loss.
+    The scalar reference for `run_batch`. The running average is refreshed
+    from the pre-update iterate, matching the convention that theta_bar after
+    n steps is the mean of theta_0 .. theta_{n-1}. sgn(0) is taken to be 0
+    so a zero residual leaves the iterate unchanged under the absolute loss.
     """
     k = state.n + 1
     theta = state.theta
+    r = sample.y - float(sample.x @ theta)
+    if not math.isfinite(r):
+        raise NonFiniteError(f"non-finite residual {r!r} at step {k}")
+    gamma = schedule_gamma(schedule, k)
     state.theta_bar += (theta - state.theta_bar) / k
     loss = state.loss
     if isinstance(loss, L1):
         if r > 0.0:
-            theta += gamma * x
+            theta += gamma * sample.x
         elif r < 0.0:
-            theta -= gamma * x
+            theta -= gamma * sample.x
     elif isinstance(loss, L2):
-        theta += (gamma * r) * x
+        theta += (gamma * r) * sample.x
     elif isinstance(loss, Huber):
         if abs(r) <= loss.tau:
-            theta += (gamma * r) * x
+            theta += (gamma * r) * sample.x
         elif r > 0.0:
-            theta += (gamma * loss.tau) * x
+            theta += (gamma * loss.tau) * sample.x
         else:
-            theta -= (gamma * loss.tau) * x
+            theta -= (gamma * loss.tau) * sample.x
     else:
         raise TypeError(f"not a loss: {loss!r}")
     state.n = k
-
-
-def sgd_step(state: SgdState, sample: Sample, schedule: StepSchedule) -> SgdState:
-    """Advance the state by one observation; mutates and returns `state`."""
-    r = sample.y - float(sample.x @ state.theta)
-    _apply_update(state, sample.x, r, schedule_gamma(schedule, state.n + 1))
     return state
 
 
@@ -104,71 +129,255 @@ def _validated_checkpoints(checkpoint_plan, n_steps: int) -> np.ndarray:
     return plan
 
 
-def run(
-    source: Union[RegressionModel, Iterable[Sample]],
-    loss: Loss,
-    schedule: StepSchedule,
-    n_steps: int,
-    checkpoint_plan=None,
-    seed: int = 0,
-    *,
-    model: Optional[RegressionModel] = None,
+# ---------------------------------------------------------------------------
+# the batched engine
+
+
+@dataclass(frozen=True, eq=False)
+class Estimator:
+    """One row of the engine and the provenance its record carries.
+
+    A clean_only row (the least-squares oracle) steps only on observations
+    not flagged as corrupted: its step counter, step sizes, checkpoints,
+    average and min |r| all count its own steps. The plan defaults to the
+    geometric grid over n_steps.
+    """
+
+    loss: Loss
+    schedule: StepSchedule
+    n_steps: int
+    checkpoint_plan: Optional[np.ndarray] = None
+    clean_only: bool = False
+    digest: str = ""
+    seed: int = 0
+    plan: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not isinstance(self.loss, (L1, L2, Huber)):
+            raise TypeError(f"not a loss: {self.loss!r}")
+        object.__setattr__(self, "plan", _validated_checkpoints(self.checkpoint_plan, self.n_steps))
+
+
+# Rows the loop runs between refills of its buffers: each row needs five
+# small array views, and a window of this size keeps them well under 1 MB.
+_WINDOW = 256
+_ROW_BUFFERS = ("r", "scale", "neg_lo", "lo", "c")
+
+
+def _window_views(k: int):
+    """Window buffers and, per stream row, (K, 1, 1) views of them."""
+    buf = {name: np.empty((_WINDOW, k)) for name in _ROW_BUFFERS}
+    steps = list(zip(*(buf[name][:, :, None, None] for name in _ROW_BUFFERS)))
+    return buf, steps
+
+
+def _advance(theta, x, y, scale, lo, r_out, c_out, window, tmp) -> None:
+    """The dependent chain over consecutive stream rows, all K estimators at once.
+
+    Row i takes c = clip((y_i - x_i . theta_k) * scale_ik, -lo_ik, lo_ik) and
+    steps theta_k += c x_i; residuals and coefficients go to r_out and c_out.
+    Estimators work as (K, 1, 1) columns against theta seen as (K, d, 1)
+    and (K, 1, d): the stacked (1, d) @ (d, 1) products give each
+    estimator's dot product bit for bit as `x @ theta_k`, which a
+    (K, d) @ (d,) product does not.
+    """
+    buf, steps = window
+    theta_col, theta_row = theta[:, :, None], theta[:, None, :]
+    for a in range(0, len(y), _WINDOW):
+        n = min(_WINDOW, len(y) - a)
+        buf["scale"][:n] = scale[a : a + n]
+        buf["lo"][:n] = lo[a : a + n]
+        np.negative(lo[a : a + n], out=buf["neg_lo"][:n])
+        for x_i, y_i, (r, s, neg_lo, hi, c) in zip(x[a : a + n, None, :], y[a : a + n], steps):
+            matmul(x_i, theta_col, out=r)
+            subtract(y_i, r, out=r)
+            multiply(r, s, out=c)
+            _clip(c, neg_lo, hi, out=c)
+            multiply(c, x_i, out=tmp)
+            add(theta_row, tmp, out=theta_row)
+        r_out[a : a + n] = buf["r"][:n]
+        c_out[a : a + n] = buf["c"][:n]
+
+
+def run_batch(
+    rows: Sequence[Estimator],
+    chunks: Iterable[tuple],
+    model: RegressionModel,
     theta0=None,
     record_iterates: bool = False,
-) -> RunRecord:
-    """Consume a stream one observation at a time and checkpoint the errors.
+) -> List[RunRecord]:
+    """Run every row over one shared stream of (X, y, corrupted) chunks.
 
-    `source` is either a model (a fresh seeded stream is generated from it)
-    or an existing iterable of samples, in which case `model` must be given
-    so errors can be measured. Deterministic: identical arguments produce a
-    bit-identical record.
+    Chunks hold at most `datagen.CHUNK` rows. Row k takes gamma_k times
+    clip(r s_k, -lo_k, lo_k) as its step coefficient; masks and step sizes
+    are laid out per chunk, then `_advance` runs the chunk, pausing after
+    each checkpoint row. The running sum of pre-update iterates, the
+    averages at checkpoints and min |r| follow in closed form from the
+    chunk's coefficients, so memory stays bounded by the chunk size whatever
+    the stream length. Raises NonFiniteError on a non-finite response
+    (naming its stream index) or a diverged iterate.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if isinstance(source, RegressionModel):
-        if model is None:
-            model = source
-        stream = stream_samples(source, seed)
-    else:
-        if model is None:
-            raise ValueError("a reference model is required when running from a raw stream")
-        stream = iter(source)
+    k_rows, d = len(rows), model.d
+    theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
+    if theta0.size != d:
+        raise ValueError(f"theta0 has dimension {theta0.size}, model has {d}")
+    theta_star, h = model.theta_star, model.design.h
 
-    plan = _validated_checkpoints(checkpoint_plan, n_steps)
-    theta_star = model.theta_star
-    h = model.design.h
-    theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
-    if theta0.size != model.d:
-        raise ValueError(f"theta0 has dimension {theta0.size}, model has {model.d}")
+    n_steps = np.array([row.n_steps for row in rows], dtype=np.int64)
+    clean_only = np.array([row.clean_only for row in rows])
+    is_l1 = np.array([isinstance(row.loss, L1) for row in rows])
+    lo = np.array([
+        1.0 if isinstance(row.loss, L1) else row.loss.tau if isinstance(row.loss, Huber) else math.inf
+        for row in rows
+    ])
+    gamma0 = np.array([row.schedule.gamma0 for row in rows])
+    constant = np.array([row.schedule.kind == CONSTANT for row in rows])
 
-    state = SgdState.start(theta0, loss)
-    iterates = np.empty((n_steps, model.d)) if record_iterates else None
-    err_h = np.empty(plan.size)
-    err_2 = np.empty(plan.size)
-    err_last_h = np.empty(plan.size)
-    next_cp = 0
-    min_abs_r = math.inf
+    theta = np.tile(theta0, (k_rows, 1))
+    tmp = np.empty((k_rows, 1, d))
+    sums = np.zeros_like(theta)  # per row: sum of its pre-update iterates so far
+    done = np.zeros(k_rows, dtype=np.int64)
+    min_r = np.full(k_rows, math.inf)
+    errs = [np.empty((3, row.plan.size)) for row in rows]
+    iterates = [np.empty((row.n_steps, d)) for row in rows] if record_iterates else None
+    window = _window_views(k_rows)
+    seen = 0
 
-    for k in range(1, n_steps + 1):
-        try:
-            sample = next(stream)
-        except StopIteration:
-            raise ValueError(f"stream ended after {k - 1} samples, {n_steps} steps requested")
-        if record_iterates:
-            iterates[k - 1] = state.theta
-        r = sample.y - float(sample.x @ state.theta)
-        if abs(r) < min_abs_r:
-            min_abs_r = abs(r)
-        _apply_update(state, sample.x, r, schedule_gamma(schedule, k))
-        if next_cp < plan.size and k == plan[next_cp]:
-            delta = state.theta_bar - theta_star
-            err_h[next_cp] = float(delta @ h @ delta)
-            err_2[next_cp] = float(delta @ delta)
-            delta_last = state.theta - theta_star
-            err_last_h[next_cp] = float(delta_last @ h @ delta_last)
-            next_cp += 1
+    for x, y, corrupted in chunks:
+        if np.all(done == n_steps):
+            break
+        eligible = ~(clean_only[None, :] & np.asarray(corrupted, dtype=bool)[:, None])
+        count = done + np.cumsum(eligible, axis=0)  # each row's own step index
+        active = eligible & (count <= n_steps)
+        used = np.flatnonzero(active.any(axis=1))
+        b = int(used[-1]) + 1 if used.size else 0  # rows past the last active one stay unread
+        bad = np.flatnonzero(~np.isfinite(y[:b]))
+        if bad.size:
+            raise NonFiniteError(f"non-finite response {float(y[bad[0]])!r} at stream index {seen + bad[0]}")
+        seen += y.shape[0]
+        if b == 0:
+            continue
+        active, count = active[:b], count[:b]
+        gamma = np.where(constant, gamma0, gamma0 / np.sqrt(np.maximum(count, 1)))
+        scale = np.where(active, np.where(is_l1, _SIGN_SCALE, gamma), 0.0)
+        bound = np.where(active, gamma * lo, 0.0)
 
-    digest = short_digest(
+        # checkpoints inside the chunk: the chunk row of each one's step
+        own = np.cumsum(active, axis=0)  # each row's own steps up to and including a chunk row
+        taken = own[-1]
+        marks = []
+        for k, row in enumerate(rows):
+            first, end = np.searchsorted(row.plan, [done[k] + 1, done[k] + taken[k] + 1])
+            targets = row.plan[first:end] - done[k]
+            marks.append((first, end, targets, np.searchsorted(own[:, k], targets)))
+        stops = np.union1d(np.concatenate([m[3] for m in marks]), [b - 1])
+
+        # the loop pauses after each checkpoint row to read the iterates
+        start = theta.copy()
+        after = np.empty((stops.size, k_rows, d))
+        xb, ys, rb, cb = x[:b], y[:b].tolist(), np.empty((b, k_rows)), np.empty((b, k_rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            begin = 0
+            for j, stop in enumerate((stops + 1).tolist()):
+                part = slice(begin, stop)
+                _advance(theta, xb[part], ys[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
+                after[j] = theta
+                begin = stop
+        if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
+            _raise_divergence(rows, rb, theta, active, done)
+
+        for k, (row, (first, end, targets, at)) in enumerate(zip(rows, marks)):
+            if end > first:
+                last = after[np.searchsorted(stops, at), k]
+                bar = _averages(targets, at, own[:, k], cb[:, k], xb, start[k], sums[k], done[k])
+                errs[k][:, first:end] = _errors(bar, last, theta_star, h)
+            if iterates is not None and taken[k]:
+                path = np.cumsum(np.vstack([start[k], cb[:-1, k, None] * xb[:-1]]), axis=0)
+                iterates[k][done[k] : done[k] + taken[k]] = path[active[:, k]]
+        sums += taken[:, None] * start + ((taken - own) * cb).T @ xb
+        min_r = np.minimum(min_r, np.where(active, np.abs(rb), math.inf).min(axis=0))
+        done += taken
+
+    if np.any(done < n_steps):
+        k = int(np.flatnonzero(done < n_steps)[0])
+        raise ValueError(
+            f"stream ended after {seen} samples with {loss_label(rows[k].loss)} at "
+            f"{done[k]} of {n_steps[k]} steps"
+        )
+    return [
+        RunRecord(
+            steps=row.plan,
+            err_h=errs[k][0],
+            err_2=errs[k][1],
+            err_last_h=errs[k][2],
+            config_digest=row.digest,
+            seed=int(row.seed),
+            theta_bar=sums[k] / row.n_steps,
+            theta_last=theta[k].copy(),
+            min_abs_residual=float(min_r[k]),
+            iterates=None if iterates is None else iterates[k],
+        )
+        for k, row in enumerate(rows)
+    ]
+
+
+def _averages(targets, at, own, coef, x, start, sums, done) -> np.ndarray:
+    """One row's averaged iterates at the checkpoints inside a chunk.
+
+    With theta_j = start + sum_{l<j} coef_l x_l, the row's own steps up to
+    chunk row i add own_i * start + sum_{l<=i} (own_i - own_l) coef_l x_l to
+    the running sum of its pre-update iterates. `targets` are the checkpoint
+    step counts relative to the chunk start and `at` their chunk rows.
+    """
+    bar = np.empty((targets.size, x.shape[1]))
+    for j, (t, i) in enumerate(zip(targets, at + 1)):
+        bar[j] = (sums + t * start + (coef[:i] * (t - own[:i])) @ x[:i]) / (done + t)
+    return bar
+
+
+def _errors(bar, last, theta_star, h) -> np.ndarray:
+    """(err_H, err_2, err_last_H) of iterates given row by row."""
+    d_bar, d_last = bar - theta_star, last - theta_star
+    return np.stack([
+        np.einsum("md,de,me->m", d_bar, h, d_bar),
+        np.einsum("md,md->m", d_bar, d_bar),
+        np.einsum("md,de,me->m", d_last, h, d_last),
+    ])
+
+
+def _raise_divergence(rows, residuals, theta, active, done) -> None:
+    bad = np.argwhere(~np.isfinite(residuals))
+    if bad.size:
+        i, k = bad[0]
+    else:  # the chunk's last update overflowed
+        i, k = residuals.shape[0] - 1, np.flatnonzero(~np.isfinite(theta).all(axis=1))[0]
+    row = rows[k]
+    step = int(done[k] + np.count_nonzero(active[: i + 1, k]))
+    raise NonFiniteError(
+        f"{loss_label(row.loss)} with gamma0={row.schedule.gamma0!r} diverged: "
+        f"non-finite iterate by step {step}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# single-estimator drivers
+
+
+def _stack(samples: Sequence[Sample]):
+    """(X, y, corrupted) arrays of a list of samples."""
+    if not samples:
+        raise ValueError("no samples")
+    x = np.array([s.x for s in samples], dtype=float)
+    y = np.array([s.y for s in samples], dtype=float)
+    corrupted = np.array([s.corrupted for s in samples], dtype=bool)
+    return x, y, corrupted
+
+
+def run_digest(loss, schedule, n_steps, seed, model, theta0, plan) -> str:
+    """Config digest of an averaged-SGD run record."""
+    return short_digest(
         [
             "run",
             loss_label(loss),
@@ -181,18 +390,55 @@ def run(
             plan,
         ]
     )
-    return RunRecord(
-        steps=plan,
-        err_h=err_h,
-        err_2=err_2,
-        err_last_h=err_last_h,
-        config_digest=digest,
+
+
+def oracle_digest(gamma0, n_steps, n_offered, n_clean, model) -> str:
+    """Config digest of a clean-data oracle record."""
+    return short_digest(["oracle_ls", gamma0, n_steps, n_offered, n_clean, model.fingerprint()])
+
+
+def run(
+    source: Union[RegressionModel, Iterable[Sample]],
+    loss: Loss,
+    schedule: StepSchedule,
+    n_steps: int,
+    checkpoint_plan=None,
+    seed: int = 0,
+    *,
+    model: Optional[RegressionModel] = None,
+    theta0=None,
+    record_iterates: bool = False,
+) -> RunRecord:
+    """One estimator over a stream: the engine with K = 1.
+
+    `source` is either a model (a fresh seeded stream is generated from it,
+    chunk by chunk) or an iterable of samples, of which the first n_steps
+    are stacked into arrays; `model` must then be given so errors can be
+    measured. Deterministic: identical arguments produce a bit-identical
+    record.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if isinstance(source, RegressionModel):
+        if model is None:
+            model = source
+        chunks = ((x, y, b != 0.0) for x, y, b in _chunk_arrays(source, seed))
+    else:
+        if model is None:
+            raise ValueError("a reference model is required when running from a raw stream")
+        samples = list(islice(source, n_steps))
+        if len(samples) < n_steps:
+            raise ValueError(f"stream ended after {len(samples)} samples, {n_steps} steps requested")
+        chunks = array_chunks(*_stack(samples))
+    plan = _validated_checkpoints(checkpoint_plan, n_steps)
+    theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
+    row = Estimator(
+        loss, schedule, n_steps, plan,
+        digest=run_digest(loss, schedule, n_steps, seed, model, theta0, plan),
         seed=int(seed),
-        theta_bar=state.theta_bar.copy(),
-        theta_last=state.theta.copy(),
-        min_abs_residual=float(min_abs_r),
-        iterates=iterates,
     )
+    (record,) = run_batch([row], chunks, model, theta0, record_iterates)
+    return record
 
 
 def oracle_ls_run(
@@ -206,43 +452,26 @@ def oracle_ls_run(
 ) -> RunRecord:
     """Clean-data baseline: constant-step averaged squared-loss SGD.
 
-    Every sample flagged as corrupted is discarded before it reaches the
+    Every sample flagged as corrupted is dropped before it reaches the
     estimator; this is the one consumer allowed to read the flags. With
-    n_steps omitted, all clean samples are consumed.
+    n_steps omitted, all clean samples are consumed. (Within a cell, the
+    engine instead masks the oracle row off on the corrupted rows.)
     """
     samples = list(samples)
-    clean = [s for s in samples if not s.corrupted]
-    if not clean:
+    x, y, corrupted = _stack(samples)
+    clean = ~corrupted
+    n_clean = int(np.count_nonzero(clean))
+    if n_clean == 0:
         raise ValueError(f"all {len(samples)} samples are corrupted, nothing to run on")
     if n_steps is None:
-        n_steps = len(clean)
-    elif len(clean) < n_steps:
+        n_steps = n_clean
+    elif n_clean < n_steps:
         raise ValueError(
-            f"only {len(clean)} clean samples among {len(samples)}, {n_steps} steps requested"
+            f"only {n_clean} clean samples among {len(samples)}, {n_steps} steps requested"
         )
-    schedule = StepSchedule(gamma0, CONSTANT)
-    record = run(
-        clean,
-        L2(),
-        schedule,
-        n_steps,
-        checkpoint_plan,
-        seed=0,
-        model=model,
-        theta0=theta0,
+    row = Estimator(
+        L2(), StepSchedule(gamma0, CONSTANT), n_steps, checkpoint_plan,
+        digest=oracle_digest(gamma0, n_steps, len(samples), n_clean, model),
     )
-    digest = short_digest(
-        ["oracle_ls", gamma0, n_steps, len(samples), len(clean), model.fingerprint()]
-    )
-    return RunRecord(
-        steps=record.steps,
-        err_h=record.err_h,
-        err_2=record.err_2,
-        err_last_h=record.err_last_h,
-        config_digest=digest,
-        seed=record.seed,
-        theta_bar=record.theta_bar,
-        theta_last=record.theta_last,
-        min_abs_residual=record.min_abs_residual,
-        iterates=record.iterates,
-    )
+    (record,) = run_batch([row], array_chunks(x[clean], y[clean], corrupted[clean]), model, theta0)
+    return record

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from streamrobust import RunRecord
+from streamrobust import Identity, RegressionModel, RunRecord, no_outliers, sample_arrays
 from streamrobust.bench import (
+    _corrupted_stream,
     BreakdownConfig,
     ConvergenceConfig,
     Table,
@@ -145,6 +146,45 @@ def test_aggregation_is_a_pure_reduction():
 
 
 # ---------------------------------------------------------------------------
+# cell streams
+
+
+def _stream_model():
+    return RegressionModel(np.array([0.6, -0.2, 0.3]), Identity(3), 1.0, no_outliers())
+
+
+def test_corrupted_stream_passes_are_permutations():
+    n, passes = 300, 3
+    x, y, corrupted, order = _corrupted_stream(_stream_model(), n, 0.3, "tiered", 1000.0, passes, 11)
+    assert x.shape == (n, 3)
+    assert order.shape == (passes * n,)
+    for p in range(passes):
+        assert np.array_equal(np.sort(order[p * n : (p + 1) * n]), np.arange(n))
+    # passes are shuffled differently, and reproducibly
+    assert not np.array_equal(order[:n], order[n : 2 * n])
+    again = _corrupted_stream(_stream_model(), n, 0.3, "tiered", 1000.0, passes, 11)
+    assert np.array_equal(again[3], order)
+    assert np.array_equal(again[1], y)
+
+
+@pytest.mark.parametrize("preset", ["tiered", "point"])
+def test_corrupted_stream_shifts_y_and_flags_exactly_where_b_is_nonzero(preset):
+    from streamrobust.bench import _contamination
+    from streamrobust.core import derive_seed
+
+    n, seed = 400, 5
+    model = _stream_model()
+    x, y, corrupted, _ = _corrupted_stream(model, n, 0.3, preset, 77.0, 1, seed)
+    x_clean, y_clean, _ = sample_arrays(model, n, derive_seed(seed, "data"))
+    b = _contamination(n, 0.3, preset, 77.0, derive_seed(seed, "contam"))
+    assert np.array_equal(x, x_clean)
+    assert np.array_equal(corrupted, b != 0.0)
+    assert 0 < int(corrupted.sum()) < n
+    assert np.array_equal(y, y_clean + b)
+    assert np.array_equal(y[~corrupted], y_clean[~corrupted])
+
+
+# ---------------------------------------------------------------------------
 # experiments
 
 
@@ -243,6 +283,15 @@ def test_breakdown_no_corruption_everyone_matches_oracle():
     oracle_err = row[table.columns.index("oracle")]
     for col in range(1, len(row)):
         assert row[col] <= 10.0 * oracle_err, table.columns[col]
+
+
+def test_breakdown_cell_without_clean_rows_names_the_cause():
+    cfg, _ = breakdown_config_from_mapping(
+        dict(n_samples="4", dim="2", replications="1", eta_grid="0.99",
+             estimators="l1, oracle", preset="point", seed="0")
+    )
+    with pytest.raises(ValueError, match="all 4 samples are corrupted"):
+        breakdown_experiment(cfg)
 
 
 def test_breakdown_l2_wrecked_by_large_outliers():

@@ -69,6 +69,16 @@ def test_bad_jobs_and_seed_rejected(capsys):
 # verify
 
 
+@pytest.mark.parametrize(
+    "flag, argv", [("--jobs", ["--jobs", "2"]), ("--svg", ["--svg"]), ("--config", ["--config", "x.ini"])]
+)
+def test_verify_rejects_flags_it_ignores(flag, argv, capsys):
+    assert main(["verify", "--only", "scalar_inequalities"] + argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
 def test_verify_scalar_group(capsys):
     assert main(["verify", "--only", "scalar_inequalities"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -128,6 +138,15 @@ def test_convergence_end_to_end(tmp_path, capsys):
     assert main(["convergence", "--config", cfg, "--out", str(out2)]) == 0
     for name in names:
         assert (out_dir / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_convergence_divergence_exits_1(tmp_path, capsys):
+    # squared loss at gamma0 = 50 overflows within a few hundred steps
+    cfg = _write_config(tmp_path, TINY_CONV.replace("losses = l1, oracle", "losses = l1, l2\ngamma0 = 50"))
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "l2 with gamma0=50.0 diverged" in err
+    assert not (tmp_path / "out" / "manifest.csv").exists()
 
 
 def test_convergence_svg(tmp_path):

@@ -10,6 +10,7 @@ from streamrobust import (
     Identity,
     INV_SQRT,
     L1,
+    NonFiniteError,
     OutlierDistribution,
     PointMass,
     RegressionModel,
@@ -276,6 +277,12 @@ def test_run_record_validation():
         _record([1, 5], [0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="negative"):
         _record([1, 5], [0.1, -0.2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_record_rejects_non_finite_errors(bad):
+    with pytest.raises(NonFiniteError, match="err_h contains a non-finite value"):
+        _record([1, 5], [0.1, bad])
 
 
 def test_run_record_lines_round_trip(tmp_path):

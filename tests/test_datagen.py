@@ -6,8 +6,6 @@ import pytest
 from streamrobust import (
     Identity,
     RegressionModel,
-    inject_outliers,
-    multi_pass_stream,
     no_outliers,
     point_outliers,
     sample_arrays,
@@ -15,7 +13,7 @@ from streamrobust import (
     stream_samples,
     tiered_contamination,
 )
-from streamrobust.datagen import dump_samples
+from streamrobust.datagen import CHUNK, array_chunks, dump_samples
 
 
 def test_stream_is_reproducible(point_model):
@@ -128,39 +126,28 @@ def test_tiered_contamination_validation():
         tiered_contamination(100, 1.0, seed=0)
 
 
-def test_inject_outliers_reuses_clean_samples(clean_model):
-    samples = sample_stream(clean_model, 10, seed=4)
-    b = np.zeros(10)
-    b[3] = 77.0
-    out = inject_outliers(samples, b)
-    assert len(out) == 10
-    for i in (0, 1, 2, 4, 9):
-        assert out[i] is samples[i]
-    assert out[3] is not samples[3]
-    assert out[3].corrupted
-    assert out[3].y == samples[3].y + 77.0
-    assert np.array_equal(out[3].x, samples[3].x)
-
-    with pytest.raises(ValueError):
-        inject_outliers(samples, np.zeros(9))
+def test_sample_arrays_fills_a_partial_last_chunk(point_model):
+    # n is not a multiple of the chunk size: the arrays are exactly n long and
+    # match the first n rows of a longer draw
+    n = 2 * CHUNK + 5
+    xs, ys, bs = sample_arrays(point_model, n, seed=17)
+    assert xs.shape == (n, 4) and ys.shape == (n,) and bs.shape == (n,)
+    xl, yl, bl = sample_arrays(point_model, 3 * CHUNK, seed=17)
+    assert np.array_equal(xs, xl[:n])
+    assert np.array_equal(ys, yl[:n])
+    assert np.array_equal(bs, bl[:n])
 
 
-def test_multi_pass_stream_permutes_each_pass(clean_model):
-    samples = sample_stream(clean_model, 64, seed=4)
-    stream = multi_pass_stream(samples, passes=3, seed=11)
-    assert len(stream) == 192
-    ids = [id(s) for s in samples]
-    for p in range(3):
-        chunk = stream[64 * p : 64 * (p + 1)]
-        assert sorted(id(s) for s in chunk) == sorted(ids)
-    # passes are shuffled differently
-    assert [id(s) for s in stream[:64]] != [id(s) for s in stream[64:128]]
-    # and reproducibly
-    again = multi_pass_stream(samples, passes=3, seed=11)
-    assert [id(s) for s in again] == [id(s) for s in stream]
-
-    with pytest.raises(ValueError):
-        multi_pass_stream(samples, passes=0, seed=1)
+def test_array_chunks_visit_rows_in_order(clean_model):
+    x, y, b = sample_arrays(clean_model, 2500, seed=3)
+    corrupted = b != 0.0
+    order = np.arange(2500)[::-1]
+    chunks = list(array_chunks(x, y, corrupted, order))
+    assert [len(c[1]) for c in chunks] == [CHUNK, CHUNK, 2500 - 2 * CHUNK]
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), x[order])
+    assert np.array_equal(np.concatenate([c[1] for c in chunks]), y[order])
+    plain = list(array_chunks(x, y, corrupted))
+    assert np.array_equal(np.concatenate([c[1] for c in plain]), y)
 
 
 def test_dump_samples_format(tmp_path, clean_model):
