@@ -34,7 +34,6 @@ from .core import (
     substream,
 )
 from .analytic import (
-    SmoothedObjective,
     effective_eta,
     expected_loss,
     gradient,
@@ -81,7 +80,6 @@ __all__ = [
     "RunRecord",
     "Sample",
     "SgdState",
-    "SmoothedObjective",
     "Spectrum",
     "StepSchedule",
     "Uniform",

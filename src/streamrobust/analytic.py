@@ -18,16 +18,20 @@ The derivative structure is what the optimizer relies on: the gradient is a
 scalar multiple of H (theta - theta*), with the multiplier depending on theta
 only through sigma_theta. `gradient_scale` evaluates that multiplier. All
 functions are pure and cache nothing, so they stay easy to audit.
+
+The error function is the standard library's `math.erf`, applied elementwise
+by `erf`; numpy is the only dependency. The radial closed forms take an error
+scale or an array of them, so a whole grid of scales is one call: the
+quadrature nodes of the corruption law ride on a trailing axis that the
+expectation reduces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .core import (
     OutlierDistribution,
@@ -40,6 +44,13 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 _MIN_QUAD_ORDER = 16
 DEFAULT_QUAD_ORDER = 64
+
+_erf_objects = np.frompyfunc(math.erf, 1, 1)
+
+
+def erf(x):
+    """Gauss error function of a float or an array, elementwise through math.erf."""
+    return np.asarray(_erf_objects(x), dtype=float)[()]
 
 
 @lru_cache(maxsize=None)
@@ -55,24 +66,30 @@ def _check_order(order: int) -> int:
     return order
 
 
-def conditional_outlier_mean(dist: OutlierDistribution, fn, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """E[fn(b) | b != 0] for a vectorized fn."""
+def conditional_outlier_mean(dist: OutlierDistribution, fn, order: int = DEFAULT_QUAD_ORDER):
+    """E[fn(b) | b != 0].
+
+    fn takes a 1-D array of corruption values and returns an array whose
+    last axis runs over them; the mean reduces that axis, so a fn that
+    broadcasts extra leading axes yields one mean per leading index.
+    """
     order = _check_order(order)
     total = 0.0
     for weight, comp in dist.components:
         if isinstance(comp, PointMass):
-            total += weight * float(fn(np.asarray(comp.value)))
+            total = total + weight * fn(np.array([comp.value]))[..., 0]
         else:
             x, w = _leggauss(order)
             nodes = 0.5 * (comp.hi + comp.lo) + 0.5 * (comp.hi - comp.lo) * x
             # mean over [lo, hi]: the interval length cancels the jacobian
-            total += weight * 0.5 * float(w @ fn(nodes))
+            # an elementwise reduction, so each leading index sums its nodes the same way
+            total = total + weight * 0.5 * np.sum(fn(nodes) * w, axis=-1)
     return total
 
 
-def full_outlier_mean(dist: OutlierDistribution, fn, order: int = DEFAULT_QUAD_ORDER) -> float:
+def full_outlier_mean(dist: OutlierDistribution, fn, order: int = DEFAULT_QUAD_ORDER):
     """E[fn(b)] over the full law: mass 1 - eta at zero plus eta times the mixture."""
-    clean = float(fn(np.asarray(0.0)))
+    clean = fn(np.zeros(1))[..., 0]
     if dist.eta == 0.0:
         return clean
     return (1.0 - dist.eta) * clean + dist.eta * conditional_outlier_mean(dist, fn, order)
@@ -83,7 +100,7 @@ def outlier_gauss_moment(dist: OutlierDistribution, s: float, order: int = DEFAU
     if not (s > 0):
         raise ValueError(f"scale s must be > 0, got {s}")
     inv = 0.5 / (s * s)
-    return conditional_outlier_mean(dist, lambda b: np.exp(-inv * b * b), order)
+    return float(conditional_outlier_mean(dist, lambda b: np.exp(-inv * b * b), order))
 
 
 def effective_eta(dist: OutlierDistribution, sigma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
@@ -100,19 +117,22 @@ def effective_eta(dist: OutlierDistribution, sigma: float, order: int = DEFAULT_
     return dist.eta * (1.0 - outlier_gauss_moment(dist, sigma, order))
 
 
-def pred_error_sigma(theta: np.ndarray, model: RegressionModel) -> float:
-    """Prediction error scale ||theta - theta*||_H."""
-    delta = np.asarray(theta, dtype=float).reshape(-1) - model.theta_star
-    if delta.size != model.d:
-        raise ValueError(f"theta has dimension {np.asarray(theta).size}, model has {model.d}")
+def pred_error_sigma(theta: np.ndarray, model: RegressionModel):
+    """Prediction error scale ||theta - theta*||_H of one iterate (d,) or a stack (..., d)."""
+    delta = np.asarray(theta, dtype=float) - model.theta_star
+    if delta.shape[-1:] != (model.d,):
+        raise ValueError(f"theta has shape {np.shape(theta)}, model has dimension {model.d}")
     h = model.design.h
-    return math.sqrt(max(float(delta @ h @ delta), 0.0))
+    return np.sqrt(np.maximum(np.sum(delta @ h * delta, axis=-1), 0.0))
 
 
-def expected_loss_radial(z: float, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Population loss as a function of the error scale z = sigma_theta alone."""
-    s2 = model.sigma * model.sigma + z * z
-    s = math.sqrt(s2)
+def expected_loss_radial(z, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
+    """Population loss as a function of the error scale z = sigma_theta alone.
+
+    z may be a float or an array of scales; the result has the shape of z.
+    """
+    s2 = (model.sigma * model.sigma + np.square(z))[..., None]
+    s = np.sqrt(s2)
 
     def folded_mean(b):
         return SQRT_2_OVER_PI * s * np.exp(-b * b / (2.0 * s2)) + b * erf(b / (math.sqrt(2.0) * s))
@@ -120,22 +140,24 @@ def expected_loss_radial(z: float, model: RegressionModel, order: int = DEFAULT_
     return full_outlier_mean(model.outliers, folded_mean, order)
 
 
-def expected_loss(theta: np.ndarray, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Population value of E|y - <x, theta>|."""
+def expected_loss(theta: np.ndarray, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
+    """Population value of E|y - <x, theta>| at one iterate (d,) or a stack (..., d)."""
     return expected_loss_radial(pred_error_sigma(theta, model), model, order)
 
 
-def gradient_scale(z: float, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) -> float:
+def gradient_scale(z, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
     """Scalar multiplier in the gradient: grad F(theta) = gradient_scale(sigma_theta) H (theta - theta*).
 
     Equals sqrt(2/pi) (sigma^2 + z^2)^{-1/2} E[exp(-b^2/(2(sigma^2+z^2)))] over
     the full corruption law. At z = 0 this is sqrt(2/pi) (1 - effective_eta) / sigma.
+    z may be a float or an array of scales; the result has the shape of z.
     """
-    if z < 0:
-        raise ValueError(f"error scale must be >= 0, got {z}")
-    s2 = model.sigma * model.sigma + z * z
-    moment = full_outlier_mean(model.outliers, lambda b: np.exp(-b * b / (2.0 * s2)), order)
-    return SQRT_2_OVER_PI * moment / math.sqrt(s2)
+    if np.any(np.less(z, 0)):
+        raise ValueError(f"error scale must be >= 0, got {np.min(z)}")
+    s2 = model.sigma * model.sigma + np.square(z)
+    s2_nodes = s2[..., None]
+    moment = full_outlier_mean(model.outliers, lambda b: np.exp(-b * b / (2.0 * s2_nodes)), order)
+    return SQRT_2_OVER_PI * moment / np.sqrt(s2)
 
 
 def gradient(theta: np.ndarray, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
@@ -154,35 +176,3 @@ def hessian_at_optimum(model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) 
     """Hessian of the population loss at theta*: sqrt(2/pi) (1 - effective_eta) / sigma * H."""
     coeff = SQRT_2_OVER_PI * (1.0 - effective_eta(model.outliers, model.sigma, order)) / model.sigma
     return coeff * model.design.h
-
-
-@dataclass(frozen=True)
-class SmoothedObjective:
-    """Bundle of a model with a quadrature order, exposing the closed forms."""
-
-    model: RegressionModel
-    quadrature_order: int = DEFAULT_QUAD_ORDER
-
-    def __post_init__(self):
-        _check_order(self.quadrature_order)
-
-    def pred_error_sigma(self, theta) -> float:
-        return pred_error_sigma(theta, self.model)
-
-    def value(self, theta) -> float:
-        return expected_loss(theta, self.model, self.quadrature_order)
-
-    def radial_value(self, z: float) -> float:
-        return expected_loss_radial(z, self.model, self.quadrature_order)
-
-    def scale(self, z: float) -> float:
-        return gradient_scale(z, self.model, self.quadrature_order)
-
-    def grad(self, theta) -> np.ndarray:
-        return gradient(theta, self.model, self.quadrature_order)
-
-    def hessian_at_optimum(self) -> np.ndarray:
-        return hessian_at_optimum(self.model, self.quadrature_order)
-
-    def effective_eta(self) -> float:
-        return effective_eta(self.model.outliers, self.model.sigma, self.quadrature_order)

@@ -115,6 +115,16 @@ def _config_lines(cfg) -> List[str]:
     return [f"{key}={value!r}" for key, value in sorted(vars(cfg).items())]
 
 
+def _run_experiment(experiment, cfg, jobs: int) -> ExperimentResult:
+    """Run an experiment; a valid config whose data leave a cell nothing to run on is a usage error."""
+    try:
+        return experiment(cfg, jobs=jobs)
+    except NonFiniteError:  # a ValueError too, but a failed run: main exits 1
+        raise
+    except ValueError as exc:
+        raise SystemExit(_fail_usage(str(exc)))
+
+
 def _prepare_out_dir(raw: str) -> Path:
     out = Path(raw)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,7 +170,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed, cfg.seed))
     out = _prepare_out_dir(args.out)
 
-    result = convergence_experiment(cfg, jobs=args.jobs or os.cpu_count() or 1)
+    result = _run_experiment(convergence_experiment, cfg, args.jobs or os.cpu_count() or 1)
     for table in result.tables:
         stem = f"convergence_{table.name.replace('@', '_')}"
         table.save(out / f"{stem}.csv")
@@ -181,7 +191,7 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
     cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed, cfg.seed))
     out = _prepare_out_dir(args.out)
 
-    result = breakdown_experiment(cfg, jobs=args.jobs or os.cpu_count() or 1)
+    result = _run_experiment(breakdown_experiment, cfg, args.jobs or os.cpu_count() or 1)
     (table,) = result.tables
     table.save(out / "breakdown.csv")
     if args.svg:

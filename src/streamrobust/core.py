@@ -28,6 +28,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence  # every command draws: load with the package
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,24 +37,24 @@ _MASK64 = (1 << 64) - 1
 # seeding
 
 
-def _seed_sequence(seed: int, *path) -> np.random.SeedSequence:
+def _seed_sequence(seed: int, *path) -> SeedSequence:
     words = [int(seed) & _MASK64]
     for p in path:
         if isinstance(p, str):
             words.append(zlib.crc32(p.encode("utf-8")))
         else:
             words.append(int(p) & _MASK64)
-    return np.random.SeedSequence(tuple(words))
+    return SeedSequence(tuple(words))
 
 
-def substream(seed: int, *path) -> np.random.Generator:
+def substream(seed: int, *path) -> Generator:
     """Independent generator addressed by (seed, path).
 
     Identical arguments always return a generator producing the identical
     stream. Path elements may be ints or short strings naming the purpose,
     e.g. ``substream(seed, "noise")`` or ``substream(seed, "rep", 3)``.
     """
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *path)))
+    return Generator(Philox(_seed_sequence(seed, *path)))
 
 
 def derive_seed(seed: int, *path) -> int:

@@ -272,7 +272,12 @@ def run_batch(
             first, end = np.searchsorted(row.plan, [done[k] + 1, done[k] + taken[k] + 1])
             targets = row.plan[first:end] - done[k]
             marks.append((first, end, targets, np.searchsorted(own[:, k], targets)))
-        stops = np.union1d(np.concatenate([m[3] for m in marks]), [b - 1])
+        # not np.union1d: np.unique imports numpy.ma on first use, which nothing else needs
+        pause = np.zeros(b, dtype=bool)
+        pause[b - 1] = True
+        for m in marks:
+            pause[m[3]] = True
+        stops = np.flatnonzero(pause)
 
         # the loop pauses after each checkpoint row to read the iterates
         start = theta.copy()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .core import (
     Explicit,
@@ -39,6 +38,7 @@ from .core import (
 from .analytic import (
     SQRT_2_OVER_PI,
     effective_eta,
+    erf,
     expected_loss,
     expected_loss_radial,
     gradient,
@@ -99,8 +99,8 @@ def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int) -
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    shift = model.theta_star - theta
-    chol_t = model.design.chol.T
+    # x = g @ chol.T for standard normal rows g, so <x, shift> = g @ (chol.T @ shift)
+    proj = model.design.chol.T @ (model.theta_star - theta)
     eta = model.outliers.eta
     rng = substream(seed, "mc")
     s1 = 0.0
@@ -108,15 +108,16 @@ def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int) -
     left = n_samples
     while left > 0:
         m = min(_MC_BLOCK, left)
-        x = rng.standard_normal((m, model.d)) @ chol_t
-        eps = rng.standard_normal(m) * model.sigma
-        u_flag = rng.random(m)
+        r = rng.standard_normal((m, model.d)) @ proj
+        r += rng.standard_normal(m) * model.sigma
+        flagged = rng.random(m) < eta
         u_comp = rng.random(m)
         u_pos = rng.random(m)
-        b = np.where(u_flag < eta, model.outliers.values_from_uniforms(u_comp, u_pos), 0.0)
-        vals = np.abs(x @ shift + eps + b)
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
+        r[flagged] += model.outliers.values_from_uniforms(u_comp[flagged], u_pos[flagged])
+        s1 += float(np.abs(r).sum())
+        # not r @ r: BLAS splits long dot products across threads, which would
+        # tie the last digits to the thread count
+        s2 += float((r * r).sum())
         left -= m
     mean = s1 / n_samples
     var = max(s2 - n_samples * mean * mean, 0.0) / (n_samples - 1)
@@ -128,33 +129,25 @@ def fd_gradient(theta, model: RegressionModel, h: float = 1e-5) -> np.ndarray:
     if not (h > 0):
         raise ValueError(f"step h must be > 0, got {h}")
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    g = np.empty(theta.size)
-    for j in range(theta.size):
-        e = np.zeros(theta.size)
-        e[j] = h
-        g[j] = (expected_loss(theta + e, model) - expected_loss(theta - e, model)) / (2.0 * h)
-    return g
+    steps = h * np.eye(theta.size)
+    return (expected_loss(theta + steps, model) - expected_loss(theta - steps, model)) / (2.0 * h)
 
 
 def fd_hessian_at_optimum(model: RegressionModel, h: float = 1e-4) -> np.ndarray:
     """Central second differences of the closed-form loss at theta*."""
     if not (h > 0):
         raise ValueError(f"step h must be > 0, got {h}")
-    d = model.d
     theta = model.theta_star
+    steps = h * np.eye(model.d)
     f0 = expected_loss(theta, model)
-    out = np.empty((d, d))
-    eye = np.eye(d)
-    for i in range(d):
-        fp = expected_loss(theta + h * eye[i], model)
-        fm = expected_loss(theta - h * eye[i], model)
-        out[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-        for j in range(i + 1, d):
-            fpp = expected_loss(theta + h * eye[i] + h * eye[j], model)
-            fpm = expected_loss(theta + h * eye[i] - h * eye[j], model)
-            fmp = expected_loss(theta - h * eye[i] + h * eye[j], model)
-            fmm = expected_loss(theta - h * eye[i] - h * eye[j], model)
-            out[i, j] = out[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    out = np.diag((expected_loss(theta + steps, model) - 2.0 * f0 + expected_loss(theta - steps, model)) / (h * h))
+    i, j = np.triu_indices(model.d, 1)
+    ei, ej = steps[i], steps[j]
+    fpp = expected_loss(theta + ei + ej, model)
+    fpm = expected_loss(theta + ei - ej, model)
+    fmp = expected_loss(theta - ei + ej, model)
+    fmm = expected_loss(theta - ei - ej, model)
+    out[i, j] = out[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return out
 
 
@@ -178,15 +171,10 @@ def check_scale_drift(model: RegressionModel, z_grid=None) -> CheckResult:
     eta = model.outliers.eta
     factor = 20.0 * math.log(2.0 / (1.0 - eta))
     a0 = gradient_scale(0.0, model)
-    worst = math.inf
-    worst_z = 0.0
-    for z in z_grid:
-        az = gradient_scale(float(z), model)
-        margin = factor * (z / sigma) * az - abs(az - a0)
-        if margin < worst:
-            worst = margin
-            worst_z = float(z)
-    return margin_result("scale_drift", worst, SCALE_DRIFT_TOL, detail=f"worst z={worst_z!r}")
+    az = gradient_scale(z_grid, model)
+    margins = factor * (z_grid / sigma) * az - np.abs(az - a0)
+    k = int(np.argmin(margins))
+    return margin_result("scale_drift", margins[k], SCALE_DRIFT_TOL, detail=f"worst z={float(z_grid[k])!r}")
 
 
 def _link_direction(model: RegressionModel) -> np.ndarray:
@@ -208,23 +196,17 @@ def check_error_loss_link(model: RegressionModel, theta_grid=None) -> List[Check
     sigma = model.sigma
     if theta_grid is None:
         v = _link_direction(model)
-        zs = np.logspace(-3.0, 3.0, 121) * sigma
-        theta_grid = [model.theta_star + z * v for z in zs]
+        theta_grid = model.theta_star + (np.logspace(-3.0, 3.0, 121) * sigma)[:, None] * v
     et = effective_eta(model.outliers, sigma)
     f_star = expected_loss_radial(0.0, model)
-    worst_above = math.inf
-    worst_below = math.inf
-    worst_joint = math.inf
-    for theta in theta_grid:
-        z = pred_error_sigma(theta, model)
-        df = expected_loss(theta, model) - f_star
-        quad_side = 10.0 * df * df / (1.0 - et) ** 2
-        lin_side = 4.0 * sigma * df / (1.0 - et)
-        if z >= sigma:
-            worst_above = min(worst_above, quad_side - z * z)
-        if z <= sigma:
-            worst_below = min(worst_below, lin_side - z * z)
-        worst_joint = min(worst_joint, lin_side + quad_side - z * z)
+    z = pred_error_sigma(np.asarray(theta_grid, dtype=float), model)
+    df = expected_loss_radial(z, model) - f_star
+    quad_side = 10.0 * df * df / (1.0 - et) ** 2
+    lin_side = 4.0 * sigma * df / (1.0 - et)
+    zsq = z * z
+    worst_above = np.min(quad_side - zsq, where=z >= sigma, initial=math.inf)
+    worst_below = np.min(lin_side - zsq, where=z <= sigma, initial=math.inf)
+    worst_joint = np.min(lin_side + quad_side - zsq, initial=math.inf)
     return [
         margin_result("error_loss_link.above_noise", worst_above),
         margin_result("error_loss_link.below_noise", worst_below),
@@ -248,7 +230,7 @@ def check_avg_iterate_bound(theta_sequence, model: RegressionModel) -> CheckResu
     hdeltas = deltas @ h
     zsq = np.einsum("id,id->i", deltas, hdeltas)
     zs = np.sqrt(np.maximum(zsq, 0.0))
-    scales = np.array([gradient_scale(float(z), model) for z in zs])
+    scales = gradient_scale(zs, model)
     grads = scales[:, None] * hdeltas
     avg_grad = grads.mean(axis=0)
     align = float(np.mean(scales * zsq))
@@ -475,7 +457,7 @@ def run_suite(seed: int = DEFAULT_SUITE_SEED, only: Optional[str] = None) -> Lis
         rng = substream(seed, "mc_theta")
         for name, model in models:
             theta = model.theta_star + rng.standard_normal(model.d)
-            closed = expected_loss(theta, model)
+            closed = float(expected_loss(theta, model))
             mean, stderr = mc_expected_loss(theta, model, 200000, derive_seed(seed, "mc", name))
             z = abs(closed - mean) / stderr
             results.append(z_result(f"mc_loss[{name}]", z, detail=f"closed={closed!r}"))

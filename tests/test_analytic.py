@@ -10,14 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from streamrobust import (
     Identity,
     OutlierDistribution,
     PointMass,
     RegressionModel,
-    SmoothedObjective,
     Uniform,
     effective_eta,
     expected_loss,
@@ -31,10 +29,12 @@ from streamrobust import (
 from streamrobust.analytic import (
     SQRT_2_OVER_PI,
     conditional_outlier_mean,
+    erf,
     expected_loss_radial,
     full_outlier_mean,
     outlier_gauss_moment,
 )
+from streamrobust.verify import default_models
 
 # quad references, abserr < 1e-13
 GAUSS_MOMENT_U1_10_S1 = 0.04418774949148349
@@ -47,7 +47,7 @@ LOSS_PM5_ETA03_S1_Z2 = 2.754800850976517
 def _uniform_gauss_moment_erf(lo, hi, s):
     # E[exp(-b^2 / (2 s^2))] for b ~ U[lo, hi], via the antiderivative
     c = s * math.sqrt(math.pi / 2.0)
-    return c * (erf(hi / (math.sqrt(2.0) * s)) - erf(lo / (math.sqrt(2.0) * s))) / (hi - lo)
+    return c * (math.erf(hi / (math.sqrt(2.0) * s)) - math.erf(lo / (math.sqrt(2.0) * s))) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,60 @@ def test_effective_eta_basics():
     # mid-scale interpolates
     mid = effective_eta(point_outliers(0.5, 1.0), 1.0)
     assert mid == pytest.approx(0.5 * (1.0 - math.exp(-0.5)), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the error function
+
+
+def test_erf_scalars_and_special_values():
+    for x in (0.0, -0.0, 0.3, -2.5, 7.0):
+        got = erf(x)
+        assert isinstance(got, float)
+        assert got == math.erf(x)
+    assert erf(0.0) == 0.0
+    assert erf(math.inf) == 1.0
+    assert erf(-math.inf) == -1.0
+    assert math.isnan(erf(math.nan))
+
+
+def test_erf_arrays_keep_shape_and_dtype():
+    x = np.array([[0.0, np.inf, -np.inf], [np.nan, 0.5, -1e-300]])
+    got = erf(x)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == x.shape
+    assert np.array_equal(got[0], [0.0, 1.0, -1.0])
+    assert np.isnan(got[1, 0])
+    assert got[1, 1] == math.erf(0.5) and got[1, 2] == math.erf(-1e-300)
+    assert erf(np.empty((0, 3))).shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# array-valued closed forms
+
+
+@pytest.mark.parametrize("name, model", default_models(), ids=[name for name, _ in default_models()])
+def test_radial_forms_on_arrays_match_scalar_calls(name, model):
+    zs = np.concatenate([[0.0], np.logspace(-6.0, 6.0, 61) * model.sigma]).reshape(2, 31)
+    for fn in (expected_loss_radial, gradient_scale):
+        got = fn(zs, model)
+        assert got.shape == zs.shape
+        want = np.array([[fn(float(z), model) for z in row] for row in zs])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), fn.__name__
+
+
+@pytest.mark.parametrize("name, model", default_models(), ids=[name for name, _ in default_models()])
+def test_expected_loss_on_a_stack_of_iterates(name, model):
+    rng = np.random.default_rng(5)
+    thetas = model.theta_star + rng.normal(size=(4, 3, model.d))
+    got = expected_loss(thetas, model)
+    assert got.shape == (4, 3)
+    want = np.array([[expected_loss(t, model) for t in row] for row in thetas])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_gradient_scale_rejects_a_negative_entry(point_model):
+    with pytest.raises(ValueError, match="error scale"):
+        gradient_scale(np.array([0.0, 1.0, -1e-9]), point_model)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +269,6 @@ def test_hessian_at_optimum_formula(spectrum_model):
     et = effective_eta(spectrum_model.outliers, spectrum_model.sigma)
     want = SQRT_2_OVER_PI * (1.0 - et) / spectrum_model.sigma * spectrum_model.design.h
     assert np.allclose(hessian_at_optimum(spectrum_model), want, rtol=1e-14)
-
-
-def test_smoothed_objective_facade(point_model):
-    obj = SmoothedObjective(point_model)
-    theta = point_model.theta_star + 0.5
-    assert obj.value(theta) == expected_loss(theta, point_model)
-    assert np.array_equal(obj.grad(theta), gradient(theta, point_model))
-    assert obj.pred_error_sigma(theta) == pred_error_sigma(theta, point_model)
-    assert obj.effective_eta() == effective_eta(point_model.outliers, point_model.sigma)
-    assert np.array_equal(obj.hessian_at_optimum(), hessian_at_optimum(point_model))
 
 
 def test_dimension_mismatch_rejected(clean_model):

@@ -1,12 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrobust import Identity, RegressionModel, RunRecord, no_outliers, sample_arrays
 from streamrobust.bench import (
     _corrupted_stream,
+    BREAKDOWN_ESTIMATORS,
     BreakdownConfig,
+    CONVERGENCE_LOSSES,
+    COVARIANCE_NAMES,
     ConvergenceConfig,
     Table,
     breakdown_config_from_mapping,
@@ -305,6 +311,53 @@ def test_breakdown_l2_wrecked_by_large_outliers():
     (table,) = breakdown_experiment(cfg).tables
     row = table.rows[0]
     assert row[2] >= 10.0 * row[1]  # l2 error at least 10x the l1 error
+
+
+# ---------------------------------------------------------------------------
+# invariance of the records to estimator order, grid order and --jobs
+
+
+@st.composite
+def small_experiments(draw):
+    """A small convergence or breakdown config and a permutation of its name lists."""
+    common = dict(
+        n_samples=draw(st.integers(150, 1300)),
+        dim=draw(st.integers(1, 4)),
+        passes=draw(st.integers(1, 2)),
+        replications=draw(st.integers(1, 2)),
+        preset=draw(st.sampled_from(["tiered", "point"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    if draw(st.booleans()):
+        losses = draw(st.lists(st.sampled_from(CONVERGENCE_LOSSES), min_size=1, unique=True))
+        covs = draw(st.lists(st.sampled_from(COVARIANCE_NAMES), min_size=1, unique=True))
+        cfg = ConvergenceConfig(
+            losses=tuple(losses), covariances=tuple(covs), eta=draw(st.sampled_from([0.0, 0.2, 0.5])), **common
+        )
+        return cfg, replace(
+            cfg, losses=tuple(draw(st.permutations(losses))), covariances=tuple(draw(st.permutations(covs)))
+        )
+    names = draw(st.lists(st.sampled_from(BREAKDOWN_ESTIMATORS), min_size=1, unique=True))
+    etas = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.6]), min_size=1, max_size=2, unique=True))
+    cfg = BreakdownConfig(estimators=tuple(names), eta_grid=tuple(sorted(etas)), **common)
+    return cfg, replace(cfg, estimators=tuple(draw(st.permutations(names))))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(small_experiments())
+def test_records_do_not_depend_on_name_order_or_jobs(configs):
+    # each engine row's arithmetic is independent of the rows sharing its batch,
+    # and each cell's stream depends only on its own seed
+    cfg, permuted = configs
+    experiment = convergence_experiment if isinstance(cfg, ConvergenceConfig) else breakdown_experiment
+    base = experiment(cfg, jobs=1).records
+    for other in (experiment(permuted, jobs=1).records, experiment(cfg, jobs=2).records):
+        assert sorted(other) == sorted(base)
+        for key, recs in base.items():
+            assert len(other[key]) == len(recs)
+            for a, b in zip(recs, other[key]):
+                for field in ("err_h", "theta_bar", "theta_last"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
 
 
 # ---------------------------------------------------------------------------

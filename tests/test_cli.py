@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,6 +63,19 @@ def test_missing_out_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["convergence"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # the package is numpy-only: importing the entry point must not pay for scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, streamrobust.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_bad_jobs_and_seed_rejected(capsys):
@@ -226,6 +244,17 @@ def test_breakdown_empty_grid_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, "[breakdown]\neta_grid =\n")
     assert main(["breakdown", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "eta_grid" in capsys.readouterr().err
+
+
+def test_breakdown_cell_without_clean_rows_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "[breakdown]\nn_samples = 4\ndim = 2\nreplications = 1\neta_grid = 0.99\npreset = point\n",
+    )
+    assert main(["breakdown", "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: all 4 samples are corrupted, nothing to run on\n"
+    assert not (tmp_path / "out" / "manifest.csv").exists()
 
 
 def test_breakdown_defaults_without_config(tmp_path, monkeypatch):
