@@ -10,8 +10,7 @@ re-run on stored records without changing a single byte of output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,151 +84,114 @@ class BreakdownConfig:
 # config parsing
 
 
-def _want_int(mapping, key, default, errors, minimum=1):
-    raw = mapping.get(key)
-    if raw is None:
-        return default
-    try:
-        value = int(str(raw).strip())
-    except ValueError:
-        errors.append(f"{key}: expected an integer, got {raw!r}")
-        return default
-    if value < minimum:
-        errors.append(f"{key}: must be >= {minimum}, got {value}")
-        return default
-    return value
+def _integer(minimum: int = 1):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _want_float(mapping, key, default, errors, low=None, high=None, low_open=False, high_open=False):
-    raw = mapping.get(key)
-    if raw is None:
-        return default
-    try:
-        value = float(str(raw).strip())
-    except ValueError:
-        errors.append(f"{key}: expected a number, got {raw!r}")
-        return default
-    if not math.isfinite(value):
-        errors.append(f"{key}: must be finite, got {value!r}")
-        return default
-    if low is not None and (value < low or (low_open and value == low)):
-        errors.append(f"{key}: must be {'>' if low_open else '>='} {low}, got {value!r}")
-        return default
-    if high is not None and (value > high or (high_open and value == high)):
-        errors.append(f"{key}: must be {'<' if high_open else '<='} {high}, got {value!r}")
-        return default
-    return value
+def _number(low=None, high=None, low_open=False, high_open=False):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value!r}")
+        if low is not None and (value < low or (low_open and value == low)):
+            raise ValueError(f"must be {'>' if low_open else '>='} {low}, got {value!r}")
+        if high is not None and (value > high or (high_open and value == high)):
+            raise ValueError(f"must be {'<' if high_open else '<='} {high}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _want_names(mapping, key, default, errors, allowed):
-    raw = mapping.get(key)
-    if raw is None:
-        return default
-    names = tuple(part.strip() for part in str(raw).split(",") if part.strip())
-    if not names:
-        errors.append(f"{key}: empty list")
-        return default
-    bad = [n for n in names if n not in allowed]
-    if bad:
-        errors.append(f"{key}: unknown entries {bad}, allowed {sorted(allowed)}")
-        return default
-    if len(set(names)) != len(names):
-        errors.append(f"{key}: duplicate entries in {names}")
-        return default
-    return names
+def _names(allowed: Tuple[str, ...]):
+    def parse(text: str) -> Tuple[str, ...]:
+        names = tuple(part.strip() for part in text.split(",") if part.strip())
+        if not names:
+            raise ValueError("empty list")
+        bad = [n for n in names if n not in allowed]
+        if bad:
+            raise ValueError(f"unknown entries {bad}, allowed {sorted(allowed)}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate entries in {names}")
+        return names
+
+    return parse
 
 
-def convergence_config_from_mapping(mapping: Mapping[str, str]):
-    """Parse a flat key/value mapping; returns (config, error list)."""
+def _choice(noun: str, allowed: Tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"unknown {noun} {text!r}, allowed {list(allowed)}")
+        return text
+
+    return parse
+
+
+def _eta_grid(text: str) -> Tuple[float, ...]:
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("empty grid")
+    values = [_number()(p) for p in parts]
+    for v in values:
+        if not (0.0 <= v < 1.0):
+            raise ValueError(f"entries must lie in [0, 1), got {v!r}")
+    if values != sorted(values):
+        raise ValueError(f"must be ascending, got {values}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"duplicate entries in {values}")
+    return tuple(values)
+
+
+# One rule per config key, shared by every config class that has the key.
+_KEY_RULES = {
+    "n_samples": _integer(minimum=4),
+    "dim": _integer(),
+    "sigma": _number(low=0.0, low_open=True),
+    "eta": _number(low=0.0, high=1.0, high_open=True),
+    "eta_grid": _eta_grid,
+    "passes": _integer(),
+    "replications": _integer(),
+    "losses": _names(CONVERGENCE_LOSSES),
+    "estimators": _names(BREAKDOWN_ESTIMATORS),
+    "covariances": _names(COVARIANCE_NAMES),
+    "covariance": _choice("name", COVARIANCE_NAMES),
+    "preset": _choice("preset", PRESETS),
+    "outlier_value": _number(),
+    "huber_tau": _number(low=0.0, low_open=True),
+    "gamma0": _number(low=0.0, low_open=True),
+    "seed": _integer(minimum=0),
+}
+
+
+def config_from_mapping(config_class, mapping: Mapping[str, str]):
+    """Parse a flat key/value mapping into `config_class`; returns (config, error list).
+
+    The known keys are the class's fields; a key left out keeps the field's
+    default. Every error is listed, one per offending key.
+    """
+    known = {f.name for f in fields(config_class)}
     errors: List[str] = []
-    known = {
-        "n_samples", "dim", "sigma", "eta", "passes", "replications",
-        "losses", "covariances", "preset", "outlier_value", "huber_tau",
-        "gamma0", "seed",
-    }
-    for key in mapping:
+    values = {}
+    for key, raw in mapping.items():
         if key not in known:
             errors.append(f"{key}: unknown key")
-    cfg = ConvergenceConfig(
-        n_samples=_want_int(mapping, "n_samples", 100000, errors, minimum=4),
-        dim=_want_int(mapping, "dim", 10, errors),
-        sigma=_want_float(mapping, "sigma", 1.0, errors, low=0.0, low_open=True),
-        eta=_want_float(mapping, "eta", 0.2, errors, low=0.0, high=1.0, high_open=True),
-        passes=_want_int(mapping, "passes", 5, errors),
-        replications=_want_int(mapping, "replications", 5, errors),
-        losses=_want_names(mapping, "losses", CONVERGENCE_LOSSES, errors, set(CONVERGENCE_LOSSES)),
-        covariances=_want_names(
-            mapping, "covariances", COVARIANCE_NAMES, errors, set(COVARIANCE_NAMES)
-        ),
-        preset=str(mapping.get("preset", "tiered")).strip(),
-        outlier_value=_want_float(mapping, "outlier_value", 1000.0, errors),
-        huber_tau=_want_float(mapping, "huber_tau", 1.0, errors, low=0.0, low_open=True),
-        gamma0=_want_float(mapping, "gamma0", None, errors, low=0.0, low_open=True),
-        seed=_want_int(mapping, "seed", 0, errors, minimum=0),
-    )
-    if cfg.preset not in PRESETS:
-        errors.append(f"preset: unknown preset {cfg.preset!r}, allowed {list(PRESETS)}")
-    return (None if errors else cfg), errors
-
-
-def breakdown_config_from_mapping(mapping: Mapping[str, str]):
-    """Parse a flat key/value mapping; returns (config, error list)."""
-    errors: List[str] = []
-    known = {
-        "n_samples", "dim", "sigma", "eta_grid", "passes", "replications",
-        "estimators", "covariance", "preset", "outlier_value", "huber_tau",
-        "gamma0", "seed",
-    }
-    for key in mapping:
-        if key not in known:
-            errors.append(f"{key}: unknown key")
-
-    eta_grid: Tuple[float, ...] = DEFAULT_ETA_GRID
-    raw = mapping.get("eta_grid")
-    if raw is not None:
-        parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-        if not parts:
-            errors.append("eta_grid: empty grid")
-        else:
-            values = []
-            for p in parts:
-                try:
-                    v = float(p)
-                except ValueError:
-                    errors.append(f"eta_grid: expected a number, got {p!r}")
-                    continue
-                if not (0.0 <= v < 1.0):
-                    errors.append(f"eta_grid: entries must lie in [0, 1), got {v!r}")
-                    continue
-                values.append(v)
-            if values and values != sorted(values):
-                errors.append(f"eta_grid: must be ascending, got {values}")
-            if len(set(values)) != len(values):
-                errors.append(f"eta_grid: duplicate entries in {values}")
-            if values:
-                eta_grid = tuple(values)
-
-    covariance = str(mapping.get("covariance", "identity")).strip()
-    if covariance not in COVARIANCE_NAMES:
-        errors.append(f"covariance: unknown name {covariance!r}, allowed {list(COVARIANCE_NAMES)}")
-    cfg = BreakdownConfig(
-        n_samples=_want_int(mapping, "n_samples", 100000, errors, minimum=4),
-        dim=_want_int(mapping, "dim", 10, errors),
-        sigma=_want_float(mapping, "sigma", 1.0, errors, low=0.0, low_open=True),
-        eta_grid=eta_grid,
-        passes=_want_int(mapping, "passes", 1, errors),
-        replications=_want_int(mapping, "replications", 5, errors),
-        estimators=_want_names(
-            mapping, "estimators", BREAKDOWN_ESTIMATORS, errors, set(BREAKDOWN_ESTIMATORS)
-        ),
-        covariance=covariance if covariance in COVARIANCE_NAMES else "identity",
-        preset=str(mapping.get("preset", "tiered")).strip(),
-        outlier_value=_want_float(mapping, "outlier_value", 1000.0, errors),
-        huber_tau=_want_float(mapping, "huber_tau", 1.0, errors, low=0.0, low_open=True),
-        gamma0=_want_float(mapping, "gamma0", None, errors, low=0.0, low_open=True),
-        seed=_want_int(mapping, "seed", 0, errors, minimum=0),
-    )
-    return (None if errors else cfg), errors
+            continue
+        try:
+            values[key] = _KEY_RULES[key](str(raw).strip())
+        except ValueError as exc:
+            errors.append(f"{key}: {exc}")
+    return (None if errors else config_class(**values)), errors
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +364,10 @@ def _breakdown_cell(args):
 
 def _run_cells(worker, cells, jobs):
     if jobs is not None and jobs > 1 and len(cells) > 1:
+        # imported here: the pool machinery is about 30 modules and 1.5 MB of
+        # RSS that a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             done = list(pool.map(worker, cells))
     else:

@@ -28,9 +28,8 @@ from .bench import (
     BreakdownConfig,
     ConvergenceConfig,
     ExperimentResult,
-    breakdown_config_from_mapping,
     breakdown_experiment,
-    convergence_config_from_mapping,
+    config_from_mapping,
     convergence_experiment,
     render_loglog_svg,
     table_svg,
@@ -161,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     mapping = _read_config_section(args.config, "convergence")
-    cfg, errors = convergence_config_from_mapping(mapping)
+    cfg, errors = config_from_mapping(ConvergenceConfig, mapping)
     if errors:
         for err in errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -182,12 +181,14 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 def cmd_breakdown(args: argparse.Namespace) -> int:
     mapping = _read_config_section(args.config, "breakdown")
-    cfg, errors = breakdown_config_from_mapping(mapping)
+    cfg, errors = config_from_mapping(BreakdownConfig, mapping)
     if errors:
         for err in errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
     assert isinstance(cfg, BreakdownConfig)
+    if args.svg and cfg.eta_grid[0] == 0.0:
+        return _fail_usage("--svg draws eta on a log axis, so eta_grid must not contain 0.0")
     cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed, cfg.seed))
     out = _prepare_out_dir(args.out)
 

@@ -368,7 +368,7 @@ def loss_label(loss: Loss) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SGD state and samples
+# SGD state
 
 
 @dataclass
@@ -388,16 +388,6 @@ class SgdState:
     def start(cls, theta0: np.ndarray, loss: Loss) -> "SgdState":
         theta0 = np.array(theta0, dtype=float).reshape(-1)
         return cls(0, theta0.copy(), theta0.copy(), loss)
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One observation. The corrupted flag is bookkeeping for the harness;
-    no estimator other than the clean-data baseline may look at it."""
-
-    x: np.ndarray
-    y: float
-    corrupted: bool = False
 
 
 # ---------------------------------------------------------------------------

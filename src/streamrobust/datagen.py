@@ -1,22 +1,24 @@
 """Seeded generation of observation streams.
 
-Streams are produced in fixed-size chunks from three separate generator
-substreams (features, dense noise, corruption), so the corruption process is
-oblivious by construction: regenerating with the same seed but a different
-theta* changes y only through <x, theta*>. Because chunk boundaries never
-move, the lazy one-sample-at-a-time path and the materialized batch path
-yield bit-identical sequences for identical seeds.
+A stream is held as arrays (X, y, corrupted): row i of X and entry i of y
+are one observation, and corrupted[i] flags it for the harness. Streams are
+drawn in fixed-size chunks from three separate generator substreams
+(features, dense noise, corruption), so the corruption process is oblivious
+by construction: regenerating with the same seed but a different theta*
+changes y only through <x, theta*>. Because chunk boundaries never move, the
+chunked path (`_chunk_arrays`, which the engine reads as it goes) and the
+materialized one (`sample_arrays`) yield bit-identical rows for identical
+seeds.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterator, List, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .core import RegressionModel, Sample, substream
+from .core import RegressionModel, substream
 
 CHUNK = 1024
 
@@ -45,22 +47,8 @@ def _chunk_arrays(model: RegressionModel, seed: int) -> Iterator[tuple]:
         yield x, y, b
 
 
-def stream_samples(model: RegressionModel, seed: int) -> Iterator[Sample]:
-    """Lazy, unbounded sample stream; one Sample per draw."""
-    for x, y, b in _chunk_arrays(model, seed):
-        for i in range(CHUNK):
-            yield Sample(x[i], float(y[i]), bool(b[i] != 0.0))
-
-
-def sample_stream(model: RegressionModel, n: int, seed: int) -> List[Sample]:
-    """First n samples of the seeded stream as a list."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    return list(islice(stream_samples(model, seed), n))
-
-
 def sample_arrays(model: RegressionModel, n: int, seed: int) -> tuple:
-    """First n samples as arrays (X, y, b); same values as sample_stream."""
+    """First n rows of the seeded stream as arrays (X, y, b); b != 0 flags corruption."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     xs, ys, bs = np.empty((n, model.d)), np.empty(n), np.empty(n)
@@ -115,16 +103,3 @@ def tiered_contamination(n: int, eta: float, seed: int) -> np.ndarray:
         values[where[2 * fixed :]] = substream(seed, "value").uniform(1.0, 10.0, rest)
     return values
 
-
-def dump_samples(samples: Sequence[Sample], path) -> None:
-    """Write a stream to delimited text with header x_1,...,x_d,y,corrupted."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("nothing to write")
-    d = samples[0].x.size
-    header = ",".join(f"x_{j + 1}" for j in range(d)) + ",y,corrupted"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for s in samples:
-            coords = ",".join(repr(float(v)) for v in s.x)
-            fh.write(f"{coords},{s.y!r},{int(s.corrupted)}\n")

@@ -19,13 +19,16 @@ rank-one update), pausing at checkpoint rows to read the iterates. The
 averaged iterate and min |r| are closed forms evaluated once per chunk from
 that chunk's coefficients. `sgd_step` is the one-observation scalar
 reference the engine is tested against.
+
+A stream is a triple of arrays (X, y, corrupted), as `datagen` draws it;
+`run` and `oracle_ls_run` drive the engine for one estimator, on a model
+(drawn chunk by chunk) or on such a triple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -45,7 +48,6 @@ from .core import (
     NonFiniteError,
     RegressionModel,
     RunRecord,
-    Sample,
     SgdState,
     StepSchedule,
     loss_label,
@@ -80,8 +82,8 @@ def default_checkpoints(n_steps: int, ratio: float = 1.25) -> np.ndarray:
     return np.array(sorted(marks), dtype=np.int64)
 
 
-def sgd_step(state: SgdState, sample: Sample, schedule: StepSchedule) -> SgdState:
-    """Advance the state by one observation; mutates and returns `state`.
+def sgd_step(state: SgdState, x: np.ndarray, y: float, schedule: StepSchedule) -> SgdState:
+    """Advance the state by one observation (x, y); mutates and returns `state`.
 
     The scalar reference for `run_batch`. The running average is refreshed
     from the pre-update iterate, matching the convention that theta_bar after
@@ -90,7 +92,7 @@ def sgd_step(state: SgdState, sample: Sample, schedule: StepSchedule) -> SgdStat
     """
     k = state.n + 1
     theta = state.theta
-    r = sample.y - float(sample.x @ theta)
+    r = float(y) - float(x @ theta)
     if not math.isfinite(r):
         raise NonFiniteError(f"non-finite residual {r!r} at step {k}")
     gamma = schedule_gamma(schedule, k)
@@ -98,18 +100,18 @@ def sgd_step(state: SgdState, sample: Sample, schedule: StepSchedule) -> SgdStat
     loss = state.loss
     if isinstance(loss, L1):
         if r > 0.0:
-            theta += gamma * sample.x
+            theta += gamma * x
         elif r < 0.0:
-            theta -= gamma * sample.x
+            theta -= gamma * x
     elif isinstance(loss, L2):
-        theta += (gamma * r) * sample.x
+        theta += (gamma * r) * x
     elif isinstance(loss, Huber):
         if abs(r) <= loss.tau:
-            theta += (gamma * r) * sample.x
+            theta += (gamma * r) * x
         elif r > 0.0:
-            theta += (gamma * loss.tau) * sample.x
+            theta += (gamma * loss.tau) * x
         else:
-            theta -= (gamma * loss.tau) * sample.x
+            theta -= (gamma * loss.tau) * x
     else:
         raise TypeError(f"not a loss: {loss!r}")
     state.n = k
@@ -370,13 +372,13 @@ def _raise_divergence(rows, residuals, theta, active, done) -> None:
 # single-estimator drivers
 
 
-def _stack(samples: Sequence[Sample]):
-    """(X, y, corrupted) arrays of a list of samples."""
-    if not samples:
-        raise ValueError("no samples")
-    x = np.array([s.x for s in samples], dtype=float)
-    y = np.array([s.y for s in samples], dtype=float)
-    corrupted = np.array([s.corrupted for s in samples], dtype=bool)
+def _stream_arrays(stream):
+    """(X, y, corrupted) as float, float and bool arrays; a nonzero corruption value b flags its row."""
+    x, y, corrupted = stream
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    corrupted = np.asarray(corrupted, dtype=bool)
+    if x.ndim != 2 or y.shape != (x.shape[0],) or corrupted.shape != y.shape:
+        raise ValueError(f"stream arrays disagree: X {x.shape}, y {y.shape}, corrupted {corrupted.shape}")
     return x, y, corrupted
 
 
@@ -403,7 +405,7 @@ def oracle_digest(gamma0, n_steps, n_offered, n_clean, model) -> str:
 
 
 def run(
-    source: Union[RegressionModel, Iterable[Sample]],
+    source: Union[RegressionModel, Sequence[np.ndarray]],
     loss: Loss,
     schedule: StepSchedule,
     n_steps: int,
@@ -417,8 +419,8 @@ def run(
     """One estimator over a stream: the engine with K = 1.
 
     `source` is either a model (a fresh seeded stream is generated from it,
-    chunk by chunk) or an iterable of samples, of which the first n_steps
-    are stacked into arrays; `model` must then be given so errors can be
+    chunk by chunk) or an (X, y, corrupted) triple, of which the first
+    n_steps rows are used; `model` must then be given so errors can be
     measured. Deterministic: identical arguments produce a bit-identical
     record.
     """
@@ -430,11 +432,11 @@ def run(
         chunks = ((x, y, b != 0.0) for x, y, b in _chunk_arrays(source, seed))
     else:
         if model is None:
-            raise ValueError("a reference model is required when running from a raw stream")
-        samples = list(islice(source, n_steps))
-        if len(samples) < n_steps:
-            raise ValueError(f"stream ended after {len(samples)} samples, {n_steps} steps requested")
-        chunks = array_chunks(*_stack(samples))
+            raise ValueError("a reference model is required when running from stream arrays")
+        x, y, corrupted = _stream_arrays(source)
+        if y.size < n_steps:
+            raise ValueError(f"stream ended after {y.size} samples, {n_steps} steps requested")
+        chunks = array_chunks(x[:n_steps], y[:n_steps], corrupted[:n_steps])
     plan = _validated_checkpoints(checkpoint_plan, n_steps)
     theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
     row = Estimator(
@@ -447,7 +449,7 @@ def run(
 
 
 def oracle_ls_run(
-    samples: Sequence[Sample],
+    stream: Sequence[np.ndarray],
     gamma0: float,
     n_steps: Optional[int] = None,
     *,
@@ -457,26 +459,26 @@ def oracle_ls_run(
 ) -> RunRecord:
     """Clean-data baseline: constant-step averaged squared-loss SGD.
 
-    Every sample flagged as corrupted is dropped before it reaches the
-    estimator; this is the one consumer allowed to read the flags. With
-    n_steps omitted, all clean samples are consumed. (Within a cell, the
-    engine instead masks the oracle row off on the corrupted rows.)
+    `stream` is an (X, y, corrupted) triple. Every row flagged as corrupted
+    is dropped before it reaches the estimator; this is the one consumer
+    allowed to read the flags. With n_steps omitted, all clean rows are
+    consumed. (Within a cell, the engine instead masks the oracle row off on
+    the corrupted rows.)
     """
-    samples = list(samples)
-    x, y, corrupted = _stack(samples)
+    x, y, corrupted = _stream_arrays(stream)
     clean = ~corrupted
     n_clean = int(np.count_nonzero(clean))
     if n_clean == 0:
-        raise ValueError(f"all {len(samples)} samples are corrupted, nothing to run on")
+        raise ValueError(f"all {y.size} samples are corrupted, nothing to run on")
     if n_steps is None:
         n_steps = n_clean
     elif n_clean < n_steps:
         raise ValueError(
-            f"only {n_clean} clean samples among {len(samples)}, {n_steps} steps requested"
+            f"only {n_clean} clean samples among {y.size}, {n_steps} steps requested"
         )
     row = Estimator(
         L2(), StepSchedule(gamma0, CONSTANT), n_steps, checkpoint_plan,
-        digest=oracle_digest(gamma0, n_steps, len(samples), n_clean, model),
+        digest=oracle_digest(gamma0, n_steps, y.size, n_clean, model),
     )
     (record,) = run_batch([row], array_chunks(x[clean], y[clean], corrupted[clean]), model, theta0)
     return record

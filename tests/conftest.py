@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamrobust import (
+from streamrobust.core import (
     Explicit,
     Identity,
     OutlierDistribution,

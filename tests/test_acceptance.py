@@ -14,7 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from streamrobust import (
+from streamrobust.analytic import expected_loss, gradient, hessian_at_optimum
+from streamrobust.bench import (
+    BreakdownConfig,
+    breakdown_experiment,
+    config_from_mapping,
+    fit_rate_slope,
+    mean_run_record,
+)
+from streamrobust.core import (
     Huber,
     Identity,
     L1,
@@ -25,27 +33,25 @@ from streamrobust import (
     Spectrum,
     StepSchedule,
     Uniform,
+    derive_seed,
+    no_outliers,
+    point_outliers,
+    substream,
+)
+from streamrobust.datagen import sample_arrays
+from streamrobust.optimizer import oracle_ls_run, run
+from streamrobust.verify import (
     check_avg_iterate_bound,
     check_error_loss_link,
     check_moment_bounds,
     check_scalar_inequalities,
     check_scale_drift,
-    derive_seed,
-    expected_loss,
+    default_models,
     fd_gradient,
     fd_hessian_at_optimum,
-    gradient,
-    hessian_at_optimum,
     mc_expected_loss,
-    no_outliers,
-    oracle_ls_run,
-    point_outliers,
-    run,
-    sample_stream,
-    substream,
+    random_iterate_sequences,
 )
-from streamrobust.bench import breakdown_config_from_mapping, breakdown_experiment, fit_rate_slope, mean_run_record
-from streamrobust.verify import default_models, random_iterate_sequences
 
 SEED = 2026
 # The five-replication slope estimate scatters about 0.05 around its
@@ -138,8 +144,8 @@ def test_criterion_03_conditioning_insensitivity(identity_run, spectrum_run):
     # the corrupted squared loss is not part of this criterion
     cov = Spectrum(tuple(1.0 / k for k in range(1, RATE_D + 1)), basis_seed=5)
     model = _rate_model(cov, point_outliers(0.2, 1000.0))
-    samples = sample_stream(model, 20000, seed=derive_seed(SEED, "oracle3"))
-    oracle = oracle_ls_run(samples, 0.5 / model.design.r2, model=model)
+    stream = sample_arrays(model, 20000, seed=derive_seed(SEED, "oracle3"))
+    oracle = oracle_ls_run(stream, 0.5 / model.design.r2, model=model)
 
     ok = worst <= 3.0
     _report(
@@ -288,12 +294,12 @@ def test_criterion_11_huber_l1_coupling():
     model = RegressionModel(
         np.array([0.7, -0.1, 0.4]), Identity(3), 1.0, point_outliers(0.2, 1000.0)
     )
-    samples = sample_stream(model, 1000, seed=derive_seed(SEED, "couple"))
+    stream = sample_arrays(model, 1000, seed=derive_seed(SEED, "couple"))
     hub = run(
-        samples, Huber(tau), StepSchedule(gamma0), 1000, model=model, record_iterates=True
+        stream, Huber(tau), StepSchedule(gamma0), 1000, model=model, record_iterates=True
     )
     lad = run(
-        samples, L1(), StepSchedule(gamma0 * tau), 1000, model=model, record_iterates=True
+        stream, L1(), StepSchedule(gamma0 * tau), 1000, model=model, record_iterates=True
     )
     gap = float(np.max(np.abs(hub.iterates - lad.iterates)))
     final_gap = float(np.max(np.abs(hub.theta_last - lad.theta_last)))
@@ -307,7 +313,8 @@ def test_criterion_11_huber_l1_coupling():
 
 
 def test_criterion_12_breakdown_sweep():
-    cfg, errors = breakdown_config_from_mapping(
+    cfg, errors = config_from_mapping(
+        BreakdownConfig,
         {
             "n_samples": "20000",
             "dim": "10",

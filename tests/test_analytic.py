@@ -11,28 +11,28 @@ import math
 import numpy as np
 import pytest
 
-from streamrobust import (
+from streamrobust.analytic import (
+    SQRT_2_OVER_PI,
+    conditional_outlier_mean,
+    effective_eta,
+    erf,
+    expected_loss,
+    expected_loss_radial,
+    full_outlier_mean,
+    gradient,
+    gradient_scale,
+    hessian_at_optimum,
+    outlier_gauss_moment,
+    pred_error_sigma,
+)
+from streamrobust.core import (
     Identity,
     OutlierDistribution,
     PointMass,
     RegressionModel,
     Uniform,
-    effective_eta,
-    expected_loss,
-    gradient,
-    gradient_scale,
-    hessian_at_optimum,
     no_outliers,
     point_outliers,
-    pred_error_sigma,
-)
-from streamrobust.analytic import (
-    SQRT_2_OVER_PI,
-    conditional_outlier_mean,
-    erf,
-    expected_loss_radial,
-    full_outlier_mean,
-    outlier_gauss_moment,
 )
 from streamrobust.verify import default_models
 

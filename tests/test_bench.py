@@ -1,23 +1,21 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamrobust import Identity, RegressionModel, RunRecord, no_outliers, sample_arrays
 from streamrobust.bench import (
     _corrupted_stream,
     BREAKDOWN_ESTIMATORS,
     BreakdownConfig,
     CONVERGENCE_LOSSES,
-    COVARIANCE_NAMES,
     ConvergenceConfig,
+    COVARIANCE_NAMES,
     Table,
-    breakdown_config_from_mapping,
     breakdown_experiment,
-    convergence_config_from_mapping,
+    config_from_mapping,
     convergence_experiment,
     convergence_table,
     fit_rate_slope,
@@ -26,6 +24,8 @@ from streamrobust.bench import (
     table_svg,
     tune_huber_tau,
 )
+from streamrobust.core import Identity, RegressionModel, RunRecord, no_outliers
+from streamrobust.datagen import sample_arrays
 
 TINY = dict(n_samples="600", dim="4", passes="2", replications="2", seed="7")
 
@@ -51,7 +51,7 @@ def _synthetic_record(steps, errs):
 
 
 def test_convergence_config_defaults():
-    cfg, errors = convergence_config_from_mapping({})
+    cfg, errors = config_from_mapping(ConvergenceConfig, {})
     assert errors == []
     assert cfg == ConvergenceConfig()
     assert cfg.losses == ("l1", "l2", "huber", "oracle")
@@ -59,7 +59,8 @@ def test_convergence_config_defaults():
 
 
 def test_convergence_config_parses_values():
-    cfg, errors = convergence_config_from_mapping(
+    cfg, errors = config_from_mapping(
+        ConvergenceConfig,
         dict(TINY, losses="l1, oracle", covariances="identity", eta="0.4", gamma0="0.05")
     )
     assert errors == []
@@ -71,7 +72,8 @@ def test_convergence_config_parses_values():
 
 
 def test_convergence_config_lists_every_error():
-    cfg, errors = convergence_config_from_mapping(
+    cfg, errors = config_from_mapping(
+        ConvergenceConfig,
         {
             "n_samples": "three",
             "dim": "0",
@@ -90,12 +92,37 @@ def test_convergence_config_lists_every_error():
 
 
 def test_breakdown_config_defaults_and_grid():
-    cfg, errors = breakdown_config_from_mapping({})
+    cfg, errors = config_from_mapping(BreakdownConfig, {})
     assert errors == []
     assert cfg == BreakdownConfig()
-    cfg, errors = breakdown_config_from_mapping({"eta_grid": "0.0, 0.25, 0.5"})
+    cfg, errors = config_from_mapping(BreakdownConfig, {"eta_grid": "0.0, 0.25, 0.5"})
     assert errors == []
     assert cfg.eta_grid == (0.0, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("config_class", [ConvergenceConfig, BreakdownConfig])
+def test_config_defaults_round_trip_through_the_parser(config_class):
+    # every field is a known key with a rule that reads its default back
+    default = config_class()
+    mapping = {
+        f.name: ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        for f in fields(config_class)
+        if (value := getattr(default, f.name)) is not None
+    }
+    cfg, errors = config_from_mapping(config_class, mapping)
+    assert errors == []
+    assert cfg == default
+
+
+def test_breakdown_config_lists_every_error():
+    cfg, errors = config_from_mapping(
+        BreakdownConfig,
+        {"preset": "bogus", "covariance": "diag", "losses": "l1", "eta_grid": "0.2, 0.1", "seed": "-1"}
+    )
+    assert cfg is None
+    keys = sorted(e.split(":")[0] for e in errors)
+    assert keys == ["covariance", "eta_grid", "losses", "preset", "seed"]
+    assert "losses: unknown key" in errors  # a convergence key
 
 
 def test_breakdown_config_grid_errors():
@@ -106,7 +133,7 @@ def test_breakdown_config_grid_errors():
         ("0.2, nope", "number"),
         ("1.5", "[0, 1)"),
     ]:
-        cfg, errors = breakdown_config_from_mapping({"eta_grid": bad})
+        cfg, errors = config_from_mapping(BreakdownConfig, {"eta_grid": bad})
         assert cfg is None, bad
         assert any(frag in e for e in errors), (bad, errors)
 
@@ -142,7 +169,8 @@ def test_mean_run_record_averages():
 
 
 def test_aggregation_is_a_pure_reduction():
-    cfg, _ = convergence_config_from_mapping(
+    cfg, _ = config_from_mapping(
+        ConvergenceConfig,
         dict(TINY, losses="l1", covariances="identity")
     )
     result = convergence_experiment(cfg)
@@ -195,7 +223,7 @@ def test_corrupted_stream_shifts_y_and_flags_exactly_where_b_is_nonzero(preset):
 
 
 def test_convergence_experiment_counts_and_determinism():
-    cfg, _ = convergence_config_from_mapping(dict(TINY, losses="l1, l2, huber, oracle"))
+    cfg, _ = config_from_mapping(ConvergenceConfig, dict(TINY, losses="l1, l2, huber, oracle"))
     result = convergence_experiment(cfg)
     assert len(result.tables) == 8  # 4 losses x 2 covariances
     assert len(result.cell_seeds) == 4  # 2 covariances x 2 replications
@@ -205,7 +233,7 @@ def test_convergence_experiment_counts_and_determinism():
 
 
 def test_convergence_parallel_matches_serial():
-    cfg, _ = convergence_config_from_mapping(dict(TINY, losses="l1, oracle"))
+    cfg, _ = config_from_mapping(ConvergenceConfig, dict(TINY, losses="l1, oracle"))
     serial = convergence_experiment(cfg, jobs=1)
     parallel = convergence_experiment(cfg, jobs=4)
     for t1, t2 in zip(serial.tables, parallel.tables):
@@ -213,7 +241,8 @@ def test_convergence_parallel_matches_serial():
 
 
 def test_convergence_oracle_improves_from_start():
-    cfg, _ = convergence_config_from_mapping(
+    cfg, _ = config_from_mapping(
+        ConvergenceConfig,
         dict(
             n_samples="10000",
             dim="10",
@@ -239,8 +268,8 @@ def test_outlier_magnitude_invariance():
         n_samples="4000", dim="5", eta="0.25", passes="1", replications="2",
         losses="l1", covariances="identity", preset="point", seed="11",
     )
-    small, _ = convergence_config_from_mapping(dict(base, outlier_value="1000"))
-    large, _ = convergence_config_from_mapping(dict(base, outlier_value="1000000"))
+    small, _ = config_from_mapping(ConvergenceConfig, dict(base, outlier_value="1000"))
+    large, _ = config_from_mapping(ConvergenceConfig, dict(base, outlier_value="1000000"))
     err_small = convergence_experiment(small).tables[0].rows[-1][1]
     err_large = convergence_experiment(large).tables[0].rows[-1][1]
     assert 0.5 <= err_large / err_small <= 2.0
@@ -253,17 +282,19 @@ def test_small_outliers_at_high_eta_are_harmless():
         n_samples="6000", dim="5", passes="1", replications="2",
         losses="l1", covariances="identity", preset="point", seed="13",
     )
-    dirty, _ = convergence_config_from_mapping(
+    dirty, _ = config_from_mapping(
+        ConvergenceConfig,
         dict(base, eta="0.9", outlier_value="0.01")
     )
-    clean, _ = convergence_config_from_mapping(dict(base, eta="0.0"))
+    clean, _ = config_from_mapping(ConvergenceConfig, dict(base, eta="0.0"))
     err_dirty = convergence_experiment(dirty).tables[0].rows[-1][1]
     err_clean = convergence_experiment(clean).tables[0].rows[-1][1]
     assert err_dirty <= 3.0 * err_clean
 
 
 def test_breakdown_experiment_shape_and_estimators():
-    cfg, _ = breakdown_config_from_mapping(
+    cfg, _ = config_from_mapping(
+        BreakdownConfig,
         dict(
             n_samples="1200", dim="3", replications="2",
             eta_grid="0.2, 0.5", estimators="l1, l2, oracle", seed="5",
@@ -278,7 +309,8 @@ def test_breakdown_experiment_shape_and_estimators():
 
 
 def test_breakdown_no_corruption_everyone_matches_oracle():
-    cfg, _ = breakdown_config_from_mapping(
+    cfg, _ = config_from_mapping(
+        BreakdownConfig,
         dict(
             n_samples="20000", dim="3", replications="2",
             eta_grid="0.0", estimators="l1, l2, huber, huber_x30, oracle", seed="9",
@@ -292,7 +324,8 @@ def test_breakdown_no_corruption_everyone_matches_oracle():
 
 
 def test_breakdown_cell_without_clean_rows_names_the_cause():
-    cfg, _ = breakdown_config_from_mapping(
+    cfg, _ = config_from_mapping(
+        BreakdownConfig,
         dict(n_samples="4", dim="2", replications="1", eta_grid="0.99",
              estimators="l1, oracle", preset="point", seed="0")
     )
@@ -301,7 +334,8 @@ def test_breakdown_cell_without_clean_rows_names_the_cause():
 
 
 def test_breakdown_l2_wrecked_by_large_outliers():
-    cfg, _ = breakdown_config_from_mapping(
+    cfg, _ = config_from_mapping(
+        BreakdownConfig,
         dict(
             n_samples="4000", dim="5", replications="2",
             eta_grid="0.5", estimators="l1, l2",
@@ -403,12 +437,13 @@ def test_fit_rate_slope_constant_error():
 
 
 def test_tune_huber_tau_singleton():
-    cfg, _ = convergence_config_from_mapping(dict(TINY, covariances="identity"))
+    cfg, _ = config_from_mapping(ConvergenceConfig, dict(TINY, covariances="identity"))
     assert tune_huber_tau(cfg, [0.7]) == 0.7
 
 
 def test_tune_huber_tau_argmin_contract():
-    cfg, _ = convergence_config_from_mapping(
+    cfg, _ = config_from_mapping(
+        ConvergenceConfig,
         dict(
             n_samples="3000", dim="3", eta="0.3", passes="1", replications="2",
             covariances="identity", preset="point", outlier_value="1000", seed="19",
@@ -418,7 +453,7 @@ def test_tune_huber_tau_argmin_contract():
     best = tune_huber_tau(cfg, grid)
     assert best in grid
     # measure each grid point the same way and confirm the argmin
-    from dataclasses import replace
+    from dataclasses import fields, replace
 
     errs = {}
     for tau in grid:
@@ -430,7 +465,7 @@ def test_tune_huber_tau_argmin_contract():
 
 
 def test_tune_huber_tau_grid_validation():
-    cfg, _ = convergence_config_from_mapping(dict(TINY))
+    cfg, _ = config_from_mapping(ConvergenceConfig, dict(TINY))
     with pytest.raises(ValueError, match="empty"):
         tune_huber_tau(cfg, [])
     with pytest.raises(ValueError, match="positive"):

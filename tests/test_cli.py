@@ -66,12 +66,14 @@ def test_missing_out_is_usage_error():
 
 
 def test_cli_import_loads_no_scipy():
-    # the package is numpy-only: importing the entry point must not pay for scipy
+    # the package is numpy-only: importing the entry point must not pay for
+    # scipy, nor for the process pool that only --jobs > 1 starts
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, streamrobust.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -244,6 +246,28 @@ def test_breakdown_empty_grid_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, "[breakdown]\neta_grid =\n")
     assert main(["breakdown", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "eta_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0.0", "0.2"])
+def test_breakdown_unknown_preset_is_config_error(tmp_path, capsys, grid):
+    cfg = _write_config(tmp_path, f"[breakdown]\nn_samples = 40\neta_grid = {grid}\npreset = bogus\n")
+    out_dir = tmp_path / "out"
+    assert main(["breakdown", "--config", cfg, "--jobs", "1", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: preset: unknown preset 'bogus', allowed ['tiered', 'point']\n"
+    assert not out_dir.exists()
+
+
+def test_breakdown_svg_with_zero_eta_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, TINY_BREAK.replace("eta_grid = 0.2, 0.5", "eta_grid = 0.0, 0.5"))
+    out_dir = tmp_path / "out"
+    assert main(["breakdown", "--config", cfg, "--jobs", "1", "--out", str(out_dir), "--svg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --svg") and "eta_grid must not contain 0.0" in err
+    assert not out_dir.exists()
+    # without --svg the same grid runs
+    assert main(["breakdown", "--config", cfg, "--jobs", "1", "--out", str(out_dir)]) == 0
+    assert (out_dir / "breakdown.csv").read_text().splitlines()[3].startswith("0.0,")
 
 
 def test_breakdown_cell_without_clean_rows_is_usage_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamrobust import (
+from streamrobust.core import (
     CONSTANT,
     Explicit,
     Huber,
@@ -19,12 +19,15 @@ from streamrobust import (
     StepSchedule,
     Uniform,
     derive_seed,
+    loss_label,
     no_outliers,
     point_outliers,
     realize_covariance,
+    schedule_gamma,
+    short_digest,
+    spec_dimension,
     substream,
 )
-from streamrobust.core import loss_label, schedule_gamma, short_digest, spec_dimension
 
 
 # ---------------------------------------------------------------------------

@@ -3,42 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from streamrobust import (
-    Identity,
-    RegressionModel,
-    no_outliers,
-    point_outliers,
-    sample_arrays,
-    sample_stream,
-    stream_samples,
-    tiered_contamination,
-)
-from streamrobust.datagen import CHUNK, array_chunks, dump_samples
+from streamrobust.core import Identity, L1, RegressionModel, StepSchedule, no_outliers, point_outliers
+from streamrobust.datagen import CHUNK, array_chunks, sample_arrays, tiered_contamination
+from streamrobust.optimizer import run
 
 
 def test_stream_is_reproducible(point_model):
-    a = sample_stream(point_model, 50, seed=3)
-    b = sample_stream(point_model, 50, seed=3)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.x, sb.x)
-        assert sa.y == sb.y
-        assert sa.corrupted == sb.corrupted
+    a = sample_arrays(point_model, 50, seed=3)
+    b = sample_arrays(point_model, 50, seed=3)
+    for arr_a, arr_b in zip(a, b):
+        assert np.array_equal(arr_a, arr_b)
 
 
 def test_stream_changes_with_seed(point_model):
-    a = sample_stream(point_model, 20, seed=3)
-    b = sample_stream(point_model, 20, seed=4)
-    assert not np.array_equal(a[0].x, b[0].x)
+    a = sample_arrays(point_model, 20, seed=3)
+    b = sample_arrays(point_model, 20, seed=4)
+    assert not np.array_equal(a[0][0], b[0][0])
 
 
 def test_lazy_and_eager_paths_agree(mixture_model):
-    lazy = sample_stream(mixture_model, 2500, seed=9)  # crosses a chunk boundary
-    xs, ys, bs = sample_arrays(mixture_model, 2500, seed=9)
-    assert len(lazy) == 2500
-    for i, s in enumerate(lazy):
-        assert np.array_equal(s.x, xs[i])
-        assert s.y == ys[i]
-        assert s.corrupted == (bs[i] != 0.0)
+    # 2500 rows cross a chunk boundary: the engine drawing chunk by chunk from
+    # the model and the materialized arrays give bit-identical records
+    schedule = StepSchedule(0.1)
+    lazy = run(mixture_model, L1(), schedule, 2500, seed=9, record_iterates=True)
+    eager = run(
+        sample_arrays(mixture_model, 2500, seed=9), L1(), schedule, 2500,
+        seed=9, model=mixture_model, record_iterates=True,
+    )
+    for name in ("steps", "err_h", "err_2", "err_last_h", "theta_bar", "theta_last", "iterates"):
+        assert np.array_equal(getattr(lazy, name), getattr(eager, name)), name
+    assert lazy.min_abs_residual == eager.min_abs_residual
+    assert lazy.config_digest == eager.config_digest
 
 
 def test_corruption_rate_and_response_shift(point_model):
@@ -68,17 +63,9 @@ def test_features_do_not_depend_on_corruption_law():
     assert np.all(bc == 0.0)
 
 
-def test_sample_stream_rejects_bad_n(clean_model):
-    with pytest.raises(ValueError):
-        sample_stream(clean_model, 0, seed=1)
-
-
-def test_stream_samples_is_endless(clean_model):
-    gen = stream_samples(clean_model, seed=2)
-    for _ in range(3000):
-        next(gen)
-    s = next(gen)
-    assert s.x.shape == (3,)
+def test_sample_arrays_rejects_bad_n(clean_model):
+    with pytest.raises(ValueError, match="sample count must be >= 1"):
+        sample_arrays(clean_model, 0, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +136,3 @@ def test_array_chunks_visit_rows_in_order(clean_model):
     plain = list(array_chunks(x, y, corrupted))
     assert np.array_equal(np.concatenate([c[1] for c in plain]), y)
 
-
-def test_dump_samples_format(tmp_path, clean_model):
-    samples = sample_stream(clean_model, 5, seed=6)
-    path = tmp_path / "samples.csv"
-    dump_samples(samples, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x_1,x_2,x_3,y,corrupted"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert len(first) == 5
-    assert float(first[0]) == samples[0].x[0]
-    assert float(first[3]) == samples[0].y
-    assert first[4] == "0"

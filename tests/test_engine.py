@@ -7,44 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamrobust import (
+from streamrobust.core import (
     CONSTANT,
-    INV_SQRT,
     Huber,
     Identity,
+    INV_SQRT,
     L1,
     L2,
     NonFiniteError,
     RegressionModel,
-    Sample,
     SgdState,
     StepSchedule,
     no_outliers,
-    oracle_ls_run,
     point_outliers,
-    run,
-    sample_stream,
-    sgd_step,
 )
 from streamrobust.datagen import CHUNK, array_chunks, sample_arrays
-from streamrobust.optimizer import Estimator, run_batch
+from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch, sgd_step
 
 LOSSES = [L1(), L2(), Huber(0.7)]
 
 
-def _reference(samples, row, model, theta0):
-    """One estimator stepped sample by sample with sgd_step."""
+def _reference(stream, row, model, theta0):
+    """One estimator stepped observation by observation with sgd_step."""
     state = SgdState.start(theta0, row.loss)
     plan = set(row.plan.tolist())
     errs, min_r = [], math.inf
     h, theta_star = model.design.h, model.theta_star
-    for s in samples:
+    for x, y, corrupted in zip(*stream):
         if state.n == row.n_steps:
             break
-        if row.clean_only and s.corrupted:
+        if row.clean_only and corrupted:
             continue
-        min_r = min(min_r, abs(s.y - float(s.x @ state.theta)))
-        sgd_step(state, s, row.schedule)
+        min_r = min(min_r, abs(y - float(x @ state.theta)))
+        sgd_step(state, x, y, row.schedule)
         if state.n in plan:
             bar, last = state.theta_bar - theta_star, state.theta - theta_star
             errs.append((bar @ h @ bar, bar @ bar, last @ h @ last))
@@ -106,11 +101,10 @@ def test_engine_rows_match_separate_reference_loops(config):
     model = RegressionModel(np.linspace(-1.0, 1.0, d), Identity(d), 1.0, no_outliers())
     x, y, _ = sample_arrays(model, n, data_seed)
     y = np.where(corrupted, y + 50.0, y)
-    samples = [Sample(x[i], float(y[i]), bool(corrupted[i])) for i in range(n)]
 
     records = run_batch(rows, array_chunks(x, y, corrupted), model, theta0)
     for row, rec in zip(rows, records):
-        errs, state, min_r = _reference(samples, row, model, theta0)
+        errs, state, min_r = _reference((x, y, corrupted), row, model, theta0)
         scale = np.linalg.norm(model.theta_star) + np.sqrt(errs[1])
         assert np.array_equal(rec.steps, row.plan)
         assert _same_distance(rec.err_h, errs[0], scale)
@@ -123,11 +117,9 @@ def test_engine_rows_match_separate_reference_loops(config):
 
 
 def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
-    samples = sample_stream(point_model, 3000, seed=21)
-    oracle = oracle_ls_run(samples, 0.05, model=point_model)
-    x = np.array([s.x for s in samples])
-    y = np.array([s.y for s in samples])
-    corrupted = np.array([s.corrupted for s in samples])
+    x, y, b = sample_arrays(point_model, 3000, seed=21)
+    corrupted = b != 0.0
+    oracle = oracle_ls_run((x, y, corrupted), 0.05, model=point_model)
     rows = [
         Estimator(L1(), StepSchedule(0.2), 3000),
         Estimator(L2(), StepSchedule(0.05, CONSTANT), oracle.steps[-1], clean_only=True),
@@ -143,12 +135,12 @@ def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
 
 
 def test_record_iterates_replays_the_loop(clean_model):
-    samples = sample_stream(clean_model, CHUNK + 100, seed=4)
-    rec = run(samples, Huber(0.5), StepSchedule(0.3), CHUNK + 100, model=clean_model, record_iterates=True)
+    x, y, b = sample_arrays(clean_model, CHUNK + 100, seed=4)
+    rec = run((x, y, b), Huber(0.5), StepSchedule(0.3), CHUNK + 100, model=clean_model, record_iterates=True)
     state = SgdState.start(np.zeros(3), Huber(0.5))
-    for k, s in enumerate(samples):
+    for k, (x_k, y_k) in enumerate(zip(x, y)):
         assert np.array_equal(rec.iterates[k], state.theta)
-        sgd_step(state, s, StepSchedule(0.3))
+        sgd_step(state, x_k, y_k, StepSchedule(0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +148,31 @@ def test_record_iterates_replays_the_loop(clean_model):
 
 
 def _with_nan_response(model, n, at, seed=3):
-    samples = sample_stream(model, n, seed=seed)
-    samples[at] = Sample(samples[at].x, math.nan, samples[at].corrupted)
-    return samples
+    x, y, b = sample_arrays(model, n, seed=seed)
+    y[at] = math.nan
+    return x, y, b
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=["l1", "l2", "huber"])
 def test_sgd_step_rejects_nan_response(loss):
     state = SgdState.start(np.array([0.5, -0.5]), loss)
     with pytest.raises(NonFiniteError, match="non-finite residual nan at step 1"):
-        sgd_step(state, Sample(np.array([1.0, 2.0]), math.nan), StepSchedule(0.1))
+        sgd_step(state, np.array([1.0, 2.0]), math.nan, StepSchedule(0.1))
     assert state.n == 0
     assert np.array_equal(state.theta, [0.5, -0.5])
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=["l1", "l2", "huber"])
 def test_run_names_the_nan_response(loss, clean_model):
-    samples = _with_nan_response(clean_model, 2000, at=1500)
+    stream = _with_nan_response(clean_model, 2000, at=1500)
     with pytest.raises(NonFiniteError, match="non-finite response nan at stream index 1500"):
-        run(samples, loss, StepSchedule(0.2), 2000, model=clean_model)
+        run(stream, loss, StepSchedule(0.2), 2000, model=clean_model)
 
 
 def test_oracle_names_a_nan_clean_response(clean_model):
-    samples = _with_nan_response(clean_model, 500, at=7)
+    stream = _with_nan_response(clean_model, 500, at=7)
     with pytest.raises(NonFiniteError, match="stream index 7"):
-        oracle_ls_run(samples, 0.05, model=clean_model)
+        oracle_ls_run(stream, 0.05, model=clean_model)
 
 
 def test_l2_divergence_fails_loudly():

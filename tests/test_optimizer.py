@@ -3,29 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from streamrobust import (
+from streamrobust.core import (
     CONSTANT,
     Huber,
     Identity,
     L1,
     L2,
     RegressionModel,
-    Sample,
     SgdState,
     StepSchedule,
-    default_checkpoints,
-    default_gamma0,
     no_outliers,
-    oracle_ls_run,
     point_outliers,
-    run,
-    sample_stream,
-    sgd_step,
 )
-
-
-def _sample(x, y):
-    return Sample(np.asarray(x, dtype=float), float(y))
+from streamrobust.datagen import sample_arrays
+from streamrobust.optimizer import default_checkpoints, default_gamma0, oracle_ls_run, run, sgd_step
 
 
 # ---------------------------------------------------------------------------
@@ -34,58 +25,58 @@ def _sample(x, y):
 
 def test_l1_step_moves_by_gamma_times_x():
     state = SgdState.start(np.zeros(2), L1())
-    sgd_step(state, _sample([1.0, -2.0], 5.0), StepSchedule(0.5))
+    sgd_step(state, np.array([1.0, -2.0]), 5.0, StepSchedule(0.5))
     assert np.array_equal(state.theta, np.array([0.5, -1.0]))
     assert state.n == 1
     # negative residual flips the sign
-    sgd_step(state, _sample([1.0, 0.0], -100.0), StepSchedule(0.5))
+    sgd_step(state, np.array([1.0, 0.0]), -100.0, StepSchedule(0.5))
     assert state.theta[0] == pytest.approx(0.5 - 0.5 / math.sqrt(2.0))
 
 
 def test_l1_step_size_ignores_residual_magnitude():
     x = np.array([0.3, 1.4])
     small = SgdState.start(np.zeros(2), L1())
-    sgd_step(small, _sample(x, 0.01), StepSchedule(0.2))
+    sgd_step(small, x, 0.01, StepSchedule(0.2))
     huge = SgdState.start(np.zeros(2), L1())
-    sgd_step(huge, _sample(x, 1e9), StepSchedule(0.2))
+    sgd_step(huge, x, 1e9, StepSchedule(0.2))
     assert np.array_equal(small.theta, huge.theta)
 
 
 def test_l1_zero_residual_is_a_fixed_point():
     state = SgdState.start(np.array([1.0, 1.0]), L1())
-    sgd_step(state, _sample([2.0, 3.0], 5.0), StepSchedule(0.5))
+    sgd_step(state, np.array([2.0, 3.0]), 5.0, StepSchedule(0.5))
     assert np.array_equal(state.theta, np.array([1.0, 1.0]))
     assert state.n == 1
 
 
 def test_l2_step_scales_with_residual():
     state = SgdState.start(np.zeros(2), L2())
-    sgd_step(state, _sample([1.0, 2.0], 3.0), StepSchedule(0.1))
+    sgd_step(state, np.array([1.0, 2.0]), 3.0, StepSchedule(0.1))
     assert np.allclose(state.theta, 0.1 * 3.0 * np.array([1.0, 2.0]))
 
 
 def test_huber_step_switches_at_tau():
     x = np.array([1.0])
     inside = SgdState.start(np.zeros(1), Huber(2.0))
-    sgd_step(inside, _sample(x, 1.5), StepSchedule(1.0))
+    sgd_step(inside, x, 1.5, StepSchedule(1.0))
     assert inside.theta[0] == pytest.approx(1.5)
     outside = SgdState.start(np.zeros(1), Huber(2.0))
-    sgd_step(outside, _sample(x, 40.0), StepSchedule(1.0))
+    sgd_step(outside, x, 40.0, StepSchedule(1.0))
     assert outside.theta[0] == pytest.approx(2.0)
     below = SgdState.start(np.zeros(1), Huber(2.0))
-    sgd_step(below, _sample(x, -40.0), StepSchedule(1.0))
+    sgd_step(below, x, -40.0, StepSchedule(1.0))
     assert below.theta[0] == pytest.approx(-2.0)
 
 
 def test_averaging_matches_batch_mean(clean_model):
     # theta_bar after n steps is the mean of theta_0 .. theta_{n-1}
-    samples = sample_stream(clean_model, 200, seed=13)
+    x, y, _ = sample_arrays(clean_model, 200, seed=13)
     state = SgdState.start(np.array([0.5, -0.5, 0.25]), L1())
     seen = []
     sched = StepSchedule(0.3)
-    for s in samples:
+    for x_i, y_i in zip(x, y):
         seen.append(state.theta.copy())
-        sgd_step(state, s, sched)
+        sgd_step(state, x_i, y_i, sched)
     batch = np.mean(seen, axis=0)
     assert np.allclose(state.theta_bar, batch, rtol=0.0, atol=1e-12)
 
@@ -136,12 +127,13 @@ def test_run_is_deterministic(point_model):
     assert a.config_digest == b.config_digest
 
 
-def test_run_from_list_matches_model_source(point_model):
-    samples = sample_stream(point_model, 400, seed=9)
+def test_run_from_arrays_matches_model_source(point_model):
+    # a longer triple: only its first n_steps rows are used
+    stream = sample_arrays(point_model, 600, seed=9)
     from_model = run(point_model, L1(), StepSchedule(0.25), 400, seed=9)
-    from_list = run(samples, L1(), StepSchedule(0.25), 400, model=point_model, seed=9)
-    assert np.array_equal(from_model.theta_bar, from_list.theta_bar)
-    assert np.array_equal(from_model.err_h, from_list.err_h)
+    from_arrays = run(stream, L1(), StepSchedule(0.25), 400, model=point_model, seed=9)
+    assert np.array_equal(from_model.theta_bar, from_arrays.theta_bar)
+    assert np.array_equal(from_model.err_h, from_arrays.err_h)
 
 
 def test_run_custom_checkpoints_and_validation(clean_model):
@@ -156,15 +148,23 @@ def test_run_custom_checkpoints_and_validation(clean_model):
 
 
 def test_run_exhausted_stream_raises(clean_model):
-    samples = sample_stream(clean_model, 10, seed=2)
+    stream = sample_arrays(clean_model, 10, seed=2)
     with pytest.raises(ValueError, match="stream ended after 10 samples"):
-        run(samples, L1(), StepSchedule(0.3), 11, model=clean_model)
+        run(stream, L1(), StepSchedule(0.3), 11, model=clean_model)
 
 
 def test_run_requires_model_for_raw_stream(clean_model):
-    samples = sample_stream(clean_model, 10, seed=2)
+    stream = sample_arrays(clean_model, 10, seed=2)
     with pytest.raises(ValueError, match="reference model"):
-        run(samples, L1(), StepSchedule(0.3), 10)
+        run(stream, L1(), StepSchedule(0.3), 10)
+
+
+def test_stream_arrays_must_agree_in_length(clean_model):
+    x, y, b = sample_arrays(clean_model, 20, seed=2)
+    with pytest.raises(ValueError, match="stream arrays disagree"):
+        run((x[:10], y, b), L1(), StepSchedule(0.3), 10, model=clean_model)
+    with pytest.raises(ValueError, match="stream arrays disagree"):
+        oracle_ls_run((x, y, b[:5]), 0.05, model=clean_model)
 
 
 def test_run_theta0_and_iterates(clean_model):
@@ -190,9 +190,9 @@ def test_run_min_abs_residual_tracked(clean_model):
 
 
 def test_huber_large_tau_equals_l2(clean_model):
-    samples = sample_stream(clean_model, 300, seed=8)
-    hub = run(samples, Huber(1e12), StepSchedule(0.2), 300, model=clean_model)
-    sq = run(samples, L2(), StepSchedule(0.2), 300, model=clean_model)
+    stream = sample_arrays(clean_model, 300, seed=8)
+    hub = run(stream, Huber(1e12), StepSchedule(0.2), 300, model=clean_model)
+    sq = run(stream, L2(), StepSchedule(0.2), 300, model=clean_model)
     assert np.array_equal(hub.theta_last, sq.theta_last)
 
 
@@ -200,9 +200,9 @@ def test_huber_small_tau_tracks_scaled_l1(clean_model):
     # Huber(tau, gamma_n) takes the same steps as the absolute loss with
     # step sizes tau * gamma_n, as long as no residual enters the quadratic zone
     tau = 1e-6
-    samples = sample_stream(clean_model, 500, seed=10)
-    hub = run(samples, Huber(tau), StepSchedule(0.4), 500, model=clean_model)
-    lad = run(samples, L1(), StepSchedule(0.4 * tau), 500, model=clean_model)
+    stream = sample_arrays(clean_model, 500, seed=10)
+    hub = run(stream, Huber(tau), StepSchedule(0.4), 500, model=clean_model)
+    lad = run(stream, L1(), StepSchedule(0.4 * tau), 500, model=clean_model)
     assert hub.min_abs_residual > tau
     assert np.allclose(hub.theta_last, lad.theta_last, rtol=0.0, atol=1e-12)
 
@@ -212,13 +212,14 @@ def test_huber_small_tau_tracks_scaled_l1(clean_model):
 
 
 def test_oracle_filters_corrupted(point_model):
-    samples = sample_stream(point_model, 4000, seed=6)
-    n_clean = sum(not s.corrupted for s in samples)
-    rec = oracle_ls_run(samples, 0.05, model=point_model)
+    x, y, b = sample_arrays(point_model, 4000, seed=6)
+    clean = b == 0.0
+    n_clean = int(np.count_nonzero(clean))
+    rec = oracle_ls_run((x, y, b != 0.0), 0.05, model=point_model)
     assert rec.steps[-1] == n_clean
     # unaffected by the corruption: same run on the clean subset directly
     direct = run(
-        [s for s in samples if not s.corrupted],
+        (x[clean], y[clean], b[clean]),
         L2(),
         StepSchedule(0.05, CONSTANT),
         n_clean,
@@ -228,24 +229,23 @@ def test_oracle_filters_corrupted(point_model):
 
 
 def test_oracle_converges(point_model):
-    samples = sample_stream(point_model, 20000, seed=12)
-    rec = oracle_ls_run(samples, 0.05, model=point_model)
+    stream = sample_arrays(point_model, 20000, seed=12)
+    rec = oracle_ls_run(stream, 0.05, model=point_model)
     assert rec.final_err_h < rec.err_h[0] / 100.0
 
 
 def test_oracle_error_cases():
     model = RegressionModel(np.zeros(2), Identity(2), 1.0, point_outliers(0.5, 10.0))
-    samples = sample_stream(model, 100, seed=1)
-    all_bad = [Sample(s.x, s.y, True) for s in samples]
+    x, y, b = sample_arrays(model, 100, seed=1)
     with pytest.raises(ValueError, match="all 100 samples are corrupted"):
-        oracle_ls_run(all_bad, 0.05, model=model)
+        oracle_ls_run((x, y, np.ones(100, dtype=bool)), 0.05, model=model)
     with pytest.raises(ValueError, match="clean samples among"):
-        oracle_ls_run(samples, 0.05, n_steps=100, model=model)
+        oracle_ls_run((x, y, b), 0.05, n_steps=100, model=model)
 
 
 def test_oracle_vs_contaminated_l2(point_model):
     # the whole point of the oracle: squared loss on the full stream is wrecked
-    samples = sample_stream(point_model, 5000, seed=14)
-    oracle = oracle_ls_run(samples, 0.05, model=point_model)
-    naive = run(samples, L2(), StepSchedule(default_gamma0(point_model)), 5000, model=point_model)
+    stream = sample_arrays(point_model, 5000, seed=14)
+    oracle = oracle_ls_run(stream, 0.05, model=point_model)
+    naive = run(stream, L2(), StepSchedule(default_gamma0(point_model)), 5000, model=point_model)
     assert naive.final_err_h > 100.0 * oracle.final_err_h

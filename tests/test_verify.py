@@ -4,34 +4,32 @@ import re
 import numpy as np
 import pytest
 
-from streamrobust import (
+from streamrobust.analytic import expected_loss, gradient, hessian_at_optimum
+from streamrobust.core import (
     CONSTANT,
     Identity,
     INV_SQRT,
     RegressionModel,
     StepSchedule,
+    no_outliers,
+    point_outliers,
+)
+from streamrobust.verify import (
+    CHECK_GROUPS,
+    CheckResult,
     check_avg_iterate_bound,
     check_error_loss_link,
     check_moment_bounds,
     check_scalar_inequalities,
     check_scale_drift,
-    expected_loss,
+    default_models,
     fd_gradient,
     fd_hessian_at_optimum,
-    gradient,
-    hessian_at_optimum,
-    mc_expected_loss,
-    no_outliers,
-    point_outliers,
-    run_suite,
-)
-from streamrobust.verify import (
-    CHECK_GROUPS,
-    CheckResult,
-    default_models,
     margin_result,
+    mc_expected_loss,
     random_iterate_sequences,
     report_lines,
+    run_suite,
     suite_passed,
     z_result,
 )
