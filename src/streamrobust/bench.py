@@ -2,15 +2,17 @@
 
 Every experiment is a grid of independent cells. A cell owns one corrupted
 data stream and runs every requested estimator on it, so estimators are
-compared under common random numbers. Cells can execute in parallel; the
-aggregation step is a pure reduction over the returned records and can be
-re-run on stored records without changing a single byte of output.
+compared under common random numbers. All cells of an experiment step
+together in one engine call, each on its own stream, and `jobs` splits the
+streams across worker processes; the aggregation step is a pure reduction
+over the returned records and can be re-run on stored records without
+changing a single byte of output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +26,7 @@ from .core import (
     L2,
     RegressionModel,
     RunRecord,
+    SEED_MAX,
     Spectrum,
     StepSchedule,
     derive_seed,
@@ -31,7 +34,7 @@ from .core import (
     short_digest,
     substream,
 )
-from .datagen import array_chunks, sample_arrays, tiered_contamination
+from .datagen import CHUNK, _chunk_arrays, array_chunks, stacked_chunks, tiered_contamination
 from .optimizer import Estimator, default_checkpoints, default_gamma0, oracle_digest, run_batch, run_digest
 
 CONVERGENCE_LOSSES = ("l1", "l2", "huber", "oracle")
@@ -84,7 +87,7 @@ class BreakdownConfig:
 # config parsing
 
 
-def _integer(minimum: int = 1):
+def _integer(minimum: int = 1, maximum: Optional[int] = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -92,6 +95,8 @@ def _integer(minimum: int = 1):
             raise ValueError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise ValueError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -170,7 +175,7 @@ _KEY_RULES = {
     "outlier_value": _number(),
     "huber_tau": _number(low=0.0, low_open=True),
     "gamma0": _number(low=0.0, low_open=True),
-    "seed": _integer(minimum=0),
+    "seed": _integer(minimum=0, maximum=SEED_MAX),
 }
 
 
@@ -281,17 +286,31 @@ def _contamination(n: int, eta: float, preset: str, value: float, seed: int) -> 
     raise ValueError(f"unknown preset {preset!r}")
 
 
-def _corrupted_stream(model, n, eta, preset, value, passes, seed):
-    """A cell's stream as (X, y + b, corrupted, order).
+def _corrupted_stream(model, b, passes, seed):
+    """A cell's stream as (X, y + b, b) chunks, b its contamination; b != 0 flags a row.
 
-    X is stored once; each of the `passes` passes visits every row once, in
-    its own seeded permutation, and `order` concatenates those permutations.
+    Pass 0 is drawn chunk by chunk in draw order; each pass p >= 1 revisits
+    its rows in its own seeded permutation, so the rows are stored only when
+    passes > 1. The model draws no outliers of its own.
     """
-    x, y, b_model = sample_arrays(model, n, derive_seed(seed, "data"))
-    b = _contamination(n, eta, preset, value, derive_seed(seed, "contam"))
+    n = b.size
+    stored = (np.empty((n, model.d)), np.empty(n)) if passes > 1 else None
+    draws = _chunk_arrays(model, derive_seed(seed, "data"))
+    for start in range(0, n, CHUNK):  # the frame holds no chunk while the engine uses it
+        yield _shifted_chunk(next(draws), b, start, stored)
     order_seed = derive_seed(seed, "order")
-    order = np.concatenate([substream(order_seed, "pass", p).permutation(n) for p in range(passes)])
-    return x, y + b, (b_model != 0.0) | (b != 0.0), order
+    for p in range(1, passes):
+        yield from array_chunks(*stored, b, substream(order_seed, "pass", p).permutation(n))
+
+
+def _shifted_chunk(chunk, b, start, stored):
+    """The rows from `start` of a drawn chunk, y shifted by b; copied into `stored` when given."""
+    x, y, _ = chunk
+    stop = min(start + CHUNK, b.size)
+    x, y = x[: stop - start], y[: stop - start] + b[start:stop]
+    if stored:
+        stored[0][start:stop], stored[1][start:stop] = x, y
+    return x, y, b[start:stop]
 
 
 def _loss_for(name: str, tau: float):
@@ -306,73 +325,74 @@ def _loss_for(name: str, tau: float):
     raise ValueError(f"unknown estimator {name!r}")
 
 
-def _run_estimators(names, stream, model, gamma0, tau, n_steps, cell_seed) -> Dict[str, RunRecord]:
-    """Every estimator of a cell in one engine pass over the cell's stream.
+# Rows a multi-pass stream stores, and the contamination every stream holds,
+# are capped per engine call at this many bytes; larger grids take several calls.
+_STORED_BYTES_PER_CALL = 64 << 20
 
-    The oracle steps on the clean rows of every pass; the others take
-    n_steps steps with gamma0 / sqrt(n).
+
+def _cell_records(args) -> List[Dict[str, RunRecord]]:
+    """Every estimator of every cell in one engine call, each cell on its own stream.
+
+    A cell is (covariance name, eta, cell seed). The oracle steps on the
+    clean rows of every pass; the others take n_samples * passes steps with
+    gamma0 / sqrt(n).
     """
-    x, y, corrupted, order = stream
-    g0 = default_gamma0(model) if gamma0 is None else gamma0
-    theta0 = np.zeros(model.d)
-    rows = []
-    for name in names:
-        if name == "oracle":
-            n_clean = int(np.count_nonzero(~corrupted[order]))
-            if n_clean == 0:
-                raise ValueError(f"all {order.size} samples are corrupted, nothing to run on")
-            digest = oracle_digest(0.5 * g0, n_clean, order.size, n_clean, model)
-            rows.append(
-                Estimator(L2(), StepSchedule(0.5 * g0, CONSTANT), n_clean, clean_only=True, digest=digest)
-            )
-        else:
-            loss, schedule = _loss_for(name, tau), StepSchedule(g0, INV_SQRT)
-            plan = default_checkpoints(n_steps)
-            digest = run_digest(loss, schedule, n_steps, cell_seed, model, theta0, plan)
-            rows.append(Estimator(loss, schedule, n_steps, plan, digest=digest, seed=cell_seed))
-    records = run_batch(rows, array_chunks(x, y, corrupted, order), model, theta0)
-    return dict(zip(names, records))
+    cfg, names, cells = args
+    n_steps = cfg.n_samples * cfg.passes
+    theta0 = np.zeros(cfg.dim)
+    models = {cov: _clean_model(cfg.dim, cfg.sigma, cov, cfg.seed) for cov in {cell[0] for cell in cells}}
+    streams, grid = [], []
+    for cov, eta, seed in cells:
+        model = models[cov]
+        b = _contamination(cfg.n_samples, eta, cfg.preset, cfg.outlier_value, derive_seed(seed, "contam"))
+        g0 = default_gamma0(model) if cfg.gamma0 is None else cfg.gamma0
+        rows = []
+        for name in names:
+            if name == "oracle":
+                n_clean = cfg.passes * int(np.count_nonzero(b == 0.0))
+                if n_clean == 0:
+                    raise ValueError(f"all {n_steps} samples are corrupted, nothing to run on")
+                digest = oracle_digest(0.5 * g0, n_clean, n_steps, n_clean, model)
+                rows.append(
+                    Estimator(L2(), StepSchedule(0.5 * g0, CONSTANT), n_clean, clean_only=True, digest=digest)
+                )
+            else:
+                loss, schedule = _loss_for(name, cfg.huber_tau), StepSchedule(g0, INV_SQRT)
+                plan = default_checkpoints(n_steps)
+                digest = run_digest(loss, schedule, n_steps, seed, model, theta0, plan)
+                rows.append(Estimator(loss, schedule, n_steps, plan, digest=digest, seed=seed))
+        streams.append(_corrupted_stream(model, b, cfg.passes, seed))
+        grid.append(rows)
+    records = run_batch(grid, stacked_chunks(streams), [models[cell[0]] for cell in cells], theta0)
+    return [dict(zip(names, recs)) for recs in records]
 
 
-def _convergence_cell(args):
-    cfg, cov_name, rep = args
-    cell_seed = derive_seed(cfg.seed, "cell", cov_name, rep)
-    model = _clean_model(cfg.dim, cfg.sigma, cov_name, cfg.seed)
-    stream = _corrupted_stream(
-        model, cfg.n_samples, cfg.eta, cfg.preset, cfg.outlier_value, cfg.passes, cell_seed
-    )
-    records = _run_estimators(
-        cfg.losses, stream, model, cfg.gamma0, cfg.huber_tau,
-        cfg.n_samples * cfg.passes, cell_seed,
-    )
-    return cov_name, rep, records
+def _experiment_records(cfg, names, cells, jobs) -> List[Dict[str, RunRecord]]:
+    """Records of every cell, in cell order.
 
-
-def _breakdown_cell(args):
-    cfg, eta, rep = args
-    cell_seed = derive_seed(cfg.seed, "cell", repr(eta), rep)
-    model = _clean_model(cfg.dim, cfg.sigma, cfg.covariance, cfg.seed)
-    stream = _corrupted_stream(
-        model, cfg.n_samples, eta, cfg.preset, cfg.outlier_value, cfg.passes, cell_seed
-    )
-    records = _run_estimators(
-        cfg.estimators, stream, model, cfg.gamma0, cfg.huber_tau,
-        cfg.n_samples * cfg.passes, cell_seed,
-    )
-    return eta, rep, records
-
-
-def _run_cells(worker, cells, jobs):
-    if jobs is not None and jobs > 1 and len(cells) > 1:
+    Cells are split into engine calls whose streams store at most
+    _STORED_BYTES_PER_CALL, and with jobs > 1 each call's streams are split
+    across that many worker processes. A stream's records do not depend on
+    which streams share its call, so neither split changes a bit.
+    """
+    stored = 8 * cfg.n_samples * (1 + (cfg.dim + 1) * (cfg.passes > 1))
+    size = max(1, _STORED_BYTES_PER_CALL // stored)
+    workers = 1 if jobs is None else max(1, jobs)
+    calls = []
+    for at in range(0, len(cells), size):
+        group = cells[at : at + size]
+        part = -(-len(group) // workers)
+        calls.extend((cfg, names, group[i : i + part]) for i in range(0, len(group), part))
+    if workers > 1 and len(calls) > 1:
         # imported here: the pool machinery is about 30 modules and 1.5 MB of
         # RSS that a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            done = list(pool.map(worker, cells))
+        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+            done = list(pool.map(_cell_records, calls))
     else:
-        done = [worker(cell) for cell in cells]
-    return done
+        done = [_cell_records(call) for call in calls]
+    return [records for call in done for records in call]
 
 
 @dataclass(frozen=True)
@@ -392,9 +412,9 @@ def _config_digest(cfg) -> str:
 
 def convergence_experiment(config: ConvergenceConfig, jobs: int = 1) -> ExperimentResult:
     """Mean error curves for each (loss, covariance) pair of the config."""
-    cells = [(config, cov, rep) for cov in config.covariances for rep in range(config.replications)]
-    done = _run_cells(_convergence_cell, cells, jobs)
-    by_cell = {(cov, rep): recs for cov, rep, recs in done}
+    keys = [(cov, rep) for cov in config.covariances for rep in range(config.replications)]
+    cells = [(cov, config.eta, derive_seed(config.seed, "cell", cov, rep)) for cov, rep in keys]
+    by_cell = dict(zip(keys, _experiment_records(config, config.losses, cells, jobs)))
 
     digest = _config_digest(config)
     tables = []
@@ -409,19 +429,15 @@ def convergence_experiment(config: ConvergenceConfig, jobs: int = 1) -> Experime
                 f"config={digest} seed={config.seed}",
             )
             tables.append(convergence_table(key, cell_records, comments))
-    seeds = tuple(
-        (f"{cov}/rep{rep}", derive_seed(config.seed, "cell", cov, rep))
-        for cov in config.covariances
-        for rep in range(config.replications)
-    )
+    seeds = tuple((f"{cov}/rep{rep}", cell[2]) for (cov, rep), cell in zip(keys, cells))
     return ExperimentResult(tuple(tables), records, seeds, digest)
 
 
 def breakdown_experiment(config: BreakdownConfig, jobs: int = 1) -> ExperimentResult:
     """Final mean errors per corruption level, one row per eta."""
-    cells = [(config, eta, rep) for eta in config.eta_grid for rep in range(config.replications)]
-    done = _run_cells(_breakdown_cell, cells, jobs)
-    by_cell = {(eta, rep): recs for eta, rep, recs in done}
+    keys = [(eta, rep) for eta in config.eta_grid for rep in range(config.replications)]
+    cells = [(config.covariance, eta, derive_seed(config.seed, "cell", repr(eta), rep)) for eta, rep in keys]
+    by_cell = dict(zip(keys, _experiment_records(config, config.estimators, cells, jobs)))
 
     digest = _config_digest(config)
     rows = []
@@ -442,11 +458,7 @@ def breakdown_experiment(config: BreakdownConfig, jobs: int = 1) -> ExperimentRe
             f"config={digest} seed={config.seed}",
         ),
     )
-    seeds = tuple(
-        (f"eta={eta!r}/rep{rep}", derive_seed(config.seed, "cell", repr(eta), rep))
-        for eta in config.eta_grid
-        for rep in range(config.replications)
-    )
+    seeds = tuple((f"eta={eta!r}/rep{rep}", cell[2]) for (eta, rep), cell in zip(keys, cells))
     return ExperimentResult((table,), records, seeds, digest)
 
 
@@ -475,28 +487,6 @@ def fit_rate_slope(record: RunRecord, window: float = 0.5):
     ss_tot = float(np.sum((log_e - log_e.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
-
-
-def tune_huber_tau(config: ConvergenceConfig, tau_grid: Sequence[float], jobs: int = 1) -> float:
-    """Grid-search the Huber threshold; ties go to the smaller value."""
-    grid = [float(t) for t in tau_grid]
-    if not grid:
-        raise ValueError("tau grid is empty")
-    if any(t <= 0 for t in grid):
-        raise ValueError(f"tau grid must be positive, got {grid}")
-    if grid != sorted(grid) or len(set(grid)) != len(grid):
-        raise ValueError(f"tau grid must be strictly ascending, got {grid}")
-    base = replace(config, losses=("huber",), covariances=config.covariances[:1])
-    best_tau = grid[0]
-    best_err = math.inf
-    for tau in grid:
-        result = convergence_experiment(replace(base, huber_tau=tau), jobs=jobs)
-        (key,) = result.records.keys()
-        err = float(np.mean([rec.final_err_h for rec in result.records[key]]))
-        if err < best_err:
-            best_err = err
-            best_tau = tau
-    return best_tau
 
 
 # ---------------------------------------------------------------------------

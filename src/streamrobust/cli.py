@@ -34,10 +34,11 @@ from .bench import (
     render_loglog_svg,
     table_svg,
 )
-from .core import NonFiniteError
+from .core import SEED_MAX, NonFiniteError
 from .verify import DEFAULT_SUITE_SEED, CHECK_GROUPS, report_lines, run_suite, suite_passed
 
 ENV_SEED = "STREAMROBUST_SEED"
+CONFIG_SECTIONS = ("convergence", "breakdown")
 
 
 def _fail_usage(message: str) -> int:
@@ -53,8 +54,8 @@ def _env_seed() -> Optional[int]:
         value = int(raw)
     except ValueError:
         raise SystemExit(_fail_usage(f"{ENV_SEED} must be an integer, got {raw!r}"))
-    if value < 0:
-        raise SystemExit(_fail_usage(f"{ENV_SEED} must be nonnegative, got {value}"))
+    if not 0 <= value <= SEED_MAX:
+        raise SystemExit(_fail_usage(f"{ENV_SEED} must lie in [0, 2**64 - 1], got {value}"))
     return value
 
 
@@ -80,8 +81,10 @@ def _read_config_section(path: Optional[str], section: str) -> Dict[str, str]:
         raise SystemExit(_fail_usage(f"cannot read config {path!r}: {exc}"))
     except configparser.Error as exc:
         raise SystemExit(_fail_usage(f"malformed config {path!r}: {exc}"))
-    if not parser.has_section(section):
-        return {}
+    found = parser.sections()
+    if section not in found or any(name not in CONFIG_SECTIONS for name in found):
+        raise SystemExit(_fail_usage(
+            f"config {path!r} must have a [{section}] section and no other than {list(CONFIG_SECTIONS)}; found {found}"))
     return dict(parser.items(section))
 
 
@@ -126,7 +129,10 @@ def _run_experiment(experiment, cfg, jobs: int) -> ExperimentResult:
 
 def _prepare_out_dir(raw: str) -> Path:
     out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file by that name, or below one
+        raise SystemExit(_fail_usage(f"cannot use --out {raw!r} as a directory: {exc}"))
     return out
 
 
@@ -140,6 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if ignored:
         return _fail_usage(f"verify does not take {', '.join(ignored)}")
     seed = _resolve_seed(args.seed, None, DEFAULT_SUITE_SEED)
+    out = None if args.out is None else _prepare_out_dir(args.out)
     try:
         results = run_suite(seed=seed, only=args.only)
     except KeyError:
@@ -152,8 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines.append(f"# suite={'pass' if passed else 'fail'}")
     for line in lines:
         print(line)
-    if args.out is not None:
-        out = _prepare_out_dir(args.out)
+    if out is not None:
         _write_lines(out / "verify_report.csv", lines)
     return 0 if passed else 1
 
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, with_only: bool, with_out_required: bool) -> None:
         p.add_argument("--config", default=None, metavar="PATH", help="INI config file")
         p.add_argument("--seed", type=int, default=None, metavar="U64", help="master seed")
-        p.add_argument("--jobs", type=int, default=None, metavar="N", help="parallel cells")
+        p.add_argument("--jobs", type=int, default=None, metavar="N", help="processes to share the streams")
         p.add_argument("--svg", action="store_true", help="also write SVG charts")
         if with_only:
             p.add_argument("--only", default=None, metavar="NAME", help="run one check group")
@@ -243,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        return _fail_usage(f"--seed must be nonnegative, got {args.seed}")
+    if args.seed is not None and not 0 <= args.seed <= SEED_MAX:
+        return _fail_usage(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
     if args.jobs is not None and args.jobs < 1:
         return _fail_usage(f"--jobs must be >= 1, got {args.jobs}")
     try:

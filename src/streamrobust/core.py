@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence  # every command draws: load with the package
 
-_MASK64 = (1 << 64) - 1
+SEED_MAX = (1 << 64) - 1  # seeds are 64-bit words: the command line rejects larger ones
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +38,12 @@ _MASK64 = (1 << 64) - 1
 
 
 def _seed_sequence(seed: int, *path) -> SeedSequence:
-    words = [int(seed) & _MASK64]
+    words = [int(seed) & SEED_MAX]
     for p in path:
         if isinstance(p, str):
             words.append(zlib.crc32(p.encode("utf-8")))
         else:
-            words.append(int(p) & _MASK64)
+            words.append(int(p) & SEED_MAX)
     return SeedSequence(tuple(words))
 
 
@@ -325,15 +325,6 @@ class StepSchedule:
         object.__setattr__(self, "gamma0", float(self.gamma0))
 
 
-def schedule_gamma(schedule: StepSchedule, n: int) -> float:
-    """Step size used for the n-th update, n >= 1."""
-    if n < 1:
-        raise ValueError(f"step index must be >= 1, got {n}")
-    if schedule.kind == CONSTANT:
-        return schedule.gamma0
-    return schedule.gamma0 / math.sqrt(n)
-
-
 @dataclass(frozen=True)
 class L1:
     pass
@@ -368,29 +359,6 @@ def loss_label(loss: Loss) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SGD state
-
-
-@dataclass
-class SgdState:
-    """Mutable per-run state: iteration count, iterate and running average.
-
-    theta_bar after n steps is the arithmetic mean of the iterates
-    theta_0 .. theta_{n-1}; at n = 0 it is defined to be theta_0.
-    """
-
-    n: int
-    theta: np.ndarray
-    theta_bar: np.ndarray
-    loss: Loss
-
-    @classmethod
-    def start(cls, theta0: np.ndarray, loss: Loss) -> "SgdState":
-        theta0 = np.array(theta0, dtype=float).reshape(-1)
-        return cls(0, theta0.copy(), theta0.copy(), loss)
-
-
-# ---------------------------------------------------------------------------
 # run records
 
 
@@ -421,15 +389,15 @@ class RunRecord:
 
     def __post_init__(self):
         steps = np.asarray(self.steps, dtype=np.int64)
-        if steps.size and np.any(np.diff(steps) <= 0):
+        if (steps[1:] <= steps[:-1]).any():
             raise ValueError("checkpoint iterations must be strictly increasing")
         for name in ("err_h", "err_2", "err_last_h"):
             vals = np.asarray(getattr(self, name), dtype=float)
             if vals.shape != steps.shape:
                 raise ValueError(f"{name} and steps must have matching length")
-            if not np.all(np.isfinite(vals)):
+            if not np.isfinite(vals).all():
                 raise NonFiniteError(f"{name} contains a non-finite value")
-            if np.any(vals < 0):
+            if (vals < 0).any():
                 raise ValueError(f"{name} contains a negative value")
             object.__setattr__(self, name, vals)
         object.__setattr__(self, "steps", steps)

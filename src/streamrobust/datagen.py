@@ -14,11 +14,11 @@ seeds.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import RegressionModel, substream
+from .core import Identity, RegressionModel, substream
 
 CHUNK = 1024
 
@@ -30,21 +30,23 @@ def _chunk_arrays(model: RegressionModel, seed: int) -> Iterator[tuple]:
     component pick, position), whether or not the flag fires, keeping stream
     alignment independent of the realized flags.
     """
-    design = model.design
-    chol_t = design.chol.T
-    rng_x = substream(seed, "x")
-    rng_noise = substream(seed, "noise")
-    rng_outlier = substream(seed, "outlier")
-    eta = model.outliers.eta
-    while True:
-        x = rng_x.standard_normal((CHUNK, model.d)) @ chol_t
-        eps = rng_noise.standard_normal(CHUNK) * model.sigma
-        u_flag = rng_outlier.random(CHUNK)
-        u_comp = rng_outlier.random(CHUNK)
-        u_pos = rng_outlier.random(CHUNK)
-        b = np.where(u_flag < eta, model.outliers.values_from_uniforms(u_comp, u_pos), 0.0)
-        y = x @ model.theta_star + eps + b
-        yield x, y, b
+    # z @ eye(d) == z bit for bit, so an identity design skips the product
+    chol_t = None if isinstance(model.covariance, Identity) else model.design.chol.T
+    rngs = substream(seed, "x"), substream(seed, "noise"), substream(seed, "outlier")
+    while True:  # the frame holds no chunk between draws: many streams may be suspended at once
+        yield _draw_chunk(model, chol_t, *rngs)
+
+
+def _draw_chunk(model, chol_t, rng_x, rng_noise, rng_outlier) -> tuple:
+    x = rng_x.standard_normal((CHUNK, model.d))
+    if chol_t is not None:
+        x = x @ chol_t
+    eps = rng_noise.standard_normal(CHUNK) * model.sigma
+    u_flag = rng_outlier.random(CHUNK)
+    u_comp = rng_outlier.random(CHUNK)
+    u_pos = rng_outlier.random(CHUNK)
+    b = np.where(u_flag < model.outliers.eta, model.outliers.values_from_uniforms(u_comp, u_pos), 0.0)
+    return x, x @ model.theta_star + eps + b, b
 
 
 def sample_arrays(model: RegressionModel, n: int, seed: int) -> tuple:
@@ -60,14 +62,38 @@ def sample_arrays(model: RegressionModel, n: int, seed: int) -> tuple:
     return xs, ys, bs
 
 
+def stacked_chunks(streams: Sequence[Iterable[tuple]]) -> Iterator[tuple]:
+    """Chunks of S streams side by side: X (b, S, d), y (b, S), flags (b, S).
+
+    The streams must yield chunks of equal lengths; the stacked stream ends
+    with the shortest one.
+    """
+    iterators = [iter(stream) for stream in streams]
+    while True:  # not zip(*streams): a zip keeps its last items, each stream's own chunk
+        parts = [next(it, None) for it in iterators]
+        if any(part is None for part in parts):
+            return
+        stacked = tuple(np.stack(arrays, axis=1) for arrays in zip(*parts))
+        del parts
+        yield stacked
+        del stacked
+
+
+def model_chunks(models: Sequence[RegressionModel], seeds: Sequence[int]) -> Iterator[tuple]:
+    """The seeded streams of S models, stacked chunk by chunk; b != 0 flags corruption."""
+    return stacked_chunks([_chunk_arrays(model, seed) for model, seed in zip(models, seeds)])
+
+
 def array_chunks(x: np.ndarray, y: np.ndarray, corrupted: np.ndarray, order=None) -> Iterator[tuple]:
     """(X, y, corrupted) chunks of at most CHUNK rows, visiting rows in `order`.
 
-    With `order` omitted the rows are visited as stored; a multi-pass stream
-    is one X with an order made of one permutation per pass.
+    With `order` omitted the rows are visited as stored, as views; a
+    multi-pass stream is one X with an order made of one permutation per pass.
     """
     if order is None:
-        order = np.arange(y.shape[0])
+        for start in range(0, y.shape[0], CHUNK):
+            yield x[start : start + CHUNK], y[start : start + CHUNK], corrupted[start : start + CHUNK]
+        return
     for start in range(0, order.size, CHUNK):
         idx = order[start : start + CHUNK]
         yield x[idx], y[idx], corrupted[idx]

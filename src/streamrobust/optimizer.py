@@ -7,18 +7,20 @@ regardless of how wild the response is; that single fact is the robustness
 mechanism. Iterates are averaged online and errors are checkpointed against
 the model known to the harness (the estimator itself never reads theta* or H).
 
-All estimators run on one batched engine, `run_batch`. It holds the iterates
-of K estimators as a (K, d) array and walks a shared stream of chunk arrays
-once, so the estimators of an experiment cell advance in lockstep on the
-same observations. Every loss is one influence function,
+All estimators run on one batched engine, `run_batch`. It walks S streams
+at once, each with its own model and R estimators, holding the iterates as
+an (S, R, d) array, so the estimators of a stream advance in lockstep on the
+same observations and independent streams (replications, corruption levels,
+covariances) share one pass of the per-row loop. Every loss is one
+influence function,
 
     psi(r) = clip(r * s, -lo, lo):  L1 s = inf, lo = 1;  L2 lo = inf;  Huber lo = tau,
 
 and the per-row loop keeps only the dependent chain (residual, influence,
 rank-one update), pausing at checkpoint rows to read the iterates. The
 averaged iterate and min |r| are closed forms evaluated once per chunk from
-that chunk's coefficients. `sgd_step` is the one-observation scalar
-reference the engine is tested against.
+that chunk's coefficients. The tests hold a one-observation scalar reference
+that the engine is checked against, bit for bit on the trajectory.
 
 A stream is a triple of arrays (X, y, corrupted), as `datagen` draws it;
 `run` and `oracle_ls_run` drive the engine for one estimator, on a model
@@ -28,6 +30,7 @@ A stream is a triple of arrays (X, y, corrupted), as `datagen` draws it;
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -48,13 +51,11 @@ from .core import (
     NonFiniteError,
     RegressionModel,
     RunRecord,
-    SgdState,
     StepSchedule,
     loss_label,
-    schedule_gamma,
     short_digest,
 )
-from .datagen import _chunk_arrays, array_chunks
+from .datagen import array_chunks, model_chunks
 
 # The L1 influence scales residuals by the largest double instead of inf:
 # every residual with |r| > gamma * 2**-1023 is clipped to its sign, and a
@@ -80,42 +81,6 @@ def default_checkpoints(n_steps: int, ratio: float = 1.25) -> np.ndarray:
         v *= ratio
     marks.add(n_steps)
     return np.array(sorted(marks), dtype=np.int64)
-
-
-def sgd_step(state: SgdState, x: np.ndarray, y: float, schedule: StepSchedule) -> SgdState:
-    """Advance the state by one observation (x, y); mutates and returns `state`.
-
-    The scalar reference for `run_batch`. The running average is refreshed
-    from the pre-update iterate, matching the convention that theta_bar after
-    n steps is the mean of theta_0 .. theta_{n-1}. sgn(0) is taken to be 0
-    so a zero residual leaves the iterate unchanged under the absolute loss.
-    """
-    k = state.n + 1
-    theta = state.theta
-    r = float(y) - float(x @ theta)
-    if not math.isfinite(r):
-        raise NonFiniteError(f"non-finite residual {r!r} at step {k}")
-    gamma = schedule_gamma(schedule, k)
-    state.theta_bar += (theta - state.theta_bar) / k
-    loss = state.loss
-    if isinstance(loss, L1):
-        if r > 0.0:
-            theta += gamma * x
-        elif r < 0.0:
-            theta -= gamma * x
-    elif isinstance(loss, L2):
-        theta += (gamma * r) * x
-    elif isinstance(loss, Huber):
-        if abs(r) <= loss.tau:
-            theta += (gamma * r) * x
-        elif r > 0.0:
-            theta += (gamma * loss.tau) * x
-        else:
-            theta -= (gamma * loss.tau) * x
-    else:
-        raise TypeError(f"not a loss: {loss!r}")
-    state.n = k
-    return state
 
 
 def _validated_checkpoints(checkpoint_plan, n_steps: int) -> np.ndarray:
@@ -162,37 +127,42 @@ class Estimator:
         object.__setattr__(self, "plan", _validated_checkpoints(self.checkpoint_plan, self.n_steps))
 
 
-# Rows the loop runs between refills of its buffers: each row needs five
-# small array views, and a window of this size keeps them well under 1 MB.
-_WINDOW = 256
+# The loop refills its buffers once per window of stream rows, and each window
+# row holds six small array views: windows of at most 256 rows and about this
+# many (row, estimator) cells keep the buffers and views under 1 MB.
+_WINDOW_CELLS = 4096
 _ROW_BUFFERS = ("r", "scale", "neg_lo", "lo", "c")
 
 
-def _window_views(k: int):
-    """Window buffers and, per stream row, (K, 1, 1) views of them."""
-    buf = {name: np.empty((_WINDOW, k)) for name in _ROW_BUFFERS}
-    steps = list(zip(*(buf[name][:, :, None, None] for name in _ROW_BUFFERS)))
+def _window_views(s_count: int, r_count: int):
+    """Window buffers and, per stream row, a (S, 1, 1, 1) response view and (S, R, 1, 1) views."""
+    rows = min(256, max(16, _WINDOW_CELLS // (s_count * r_count)))
+    buf = {name: np.empty((rows, s_count, r_count)) for name in _ROW_BUFFERS}
+    buf["y"] = np.empty((rows, s_count, 1))
+    names = ("y",) + _ROW_BUFFERS
+    steps = list(zip(*(buf[name][:, :, :, None, None] for name in names)))
     return buf, steps
 
 
 def _advance(theta, x, y, scale, lo, r_out, c_out, window, tmp) -> None:
-    """The dependent chain over consecutive stream rows, all K estimators at once.
+    """The dependent chain over consecutive stream rows, every estimator of every stream at once.
 
-    Row i takes c = clip((y_i - x_i . theta_k) * scale_ik, -lo_ik, lo_ik) and
-    steps theta_k += c x_i; residuals and coefficients go to r_out and c_out.
-    Estimators work as (K, 1, 1) columns against theta seen as (K, d, 1)
-    and (K, 1, d): the stacked (1, d) @ (d, 1) products give each
-    estimator's dot product bit for bit as `x @ theta_k`, which a
-    (K, d) @ (d,) product does not.
+    Row i takes c = clip((y_si - x_si . theta_sr) * scale_isr, -lo_isr, lo_isr)
+    and steps theta_sr += c x_si; residuals and coefficients go to r_out and
+    c_out. A stream's features are read as (S, 1, 1, d) against theta seen as
+    (S, R, d, 1) and (S, R, 1, d): the stacked (1, d) @ (d, 1) products give
+    each estimator's dot product bit for bit as `x @ theta_sr`, which a
+    (R, d) @ (d,) product does not.
     """
     buf, steps = window
-    theta_col, theta_row = theta[:, :, None], theta[:, None, :]
-    for a in range(0, len(y), _WINDOW):
-        n = min(_WINDOW, len(y) - a)
+    theta_col, theta_row = theta[:, :, :, None], theta[:, :, None, :]
+    for a in range(0, len(y), len(steps)):
+        n = min(len(steps), len(y) - a)
+        buf["y"][:n, :, 0] = y[a : a + n]
         buf["scale"][:n] = scale[a : a + n]
         buf["lo"][:n] = lo[a : a + n]
         np.negative(lo[a : a + n], out=buf["neg_lo"][:n])
-        for x_i, y_i, (r, s, neg_lo, hi, c) in zip(x[a : a + n, None, :], y[a : a + n], steps):
+        for x_i, (y_i, r, s, neg_lo, hi, c) in zip(x[a : a + n, :, None, None, :], steps):
             matmul(x_i, theta_col, out=r)
             subtract(y_i, r, out=r)
             multiply(r, s, out=c)
@@ -203,130 +173,166 @@ def _advance(theta, x, y, scale, lo, r_out, c_out, window, tmp) -> None:
         c_out[a : a + n] = buf["c"][:n]
 
 
+def _row_array(rows, value, dtype=float) -> np.ndarray:
+    return np.array([[value(row) for row in stream] for stream in rows], dtype=dtype)
+
+
 def run_batch(
-    rows: Sequence[Estimator],
+    grid: Sequence[Sequence[Estimator]],
     chunks: Iterable[tuple],
-    model: RegressionModel,
+    models: Sequence[RegressionModel],
     theta0=None,
     record_iterates: bool = False,
-) -> List[RunRecord]:
-    """Run every row over one shared stream of (X, y, corrupted) chunks.
+) -> List[List[RunRecord]]:
+    """Run S streams at once, each with its own model and the same number R of rows.
 
-    Chunks hold at most `datagen.CHUNK` rows. Row k takes gamma_k times
-    clip(r s_k, -lo_k, lo_k) as its step coefficient; masks and step sizes
-    are laid out per chunk, then `_advance` runs the chunk, pausing after
-    each checkpoint row. The running sum of pre-update iterates, the
-    averages at checkpoints and min |r| follow in closed form from the
-    chunk's coefficients, so memory stays bounded by the chunk size whatever
-    the stream length. Raises NonFiniteError on a non-finite response
+    `grid[s]` holds stream s's rows and `models[s]` the model its errors are
+    measured against. Chunks are (X (b, S, d), y (b, S), corrupted (b, S))
+    of at most `datagen.CHUNK` rows, as `datagen.stacked_chunks` lays them
+    out. Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its
+    step coefficient; masks and step sizes are laid out per chunk, then
+    `_advance` runs the chunk, pausing after each checkpoint row. The running
+    sum of pre-update iterates, the averages at checkpoints and min |r| follow
+    in closed form from the chunk's coefficients, stream by stream, so memory
+    stays bounded by the chunk size whatever the stream length, and a
+    stream's records do not depend on which streams share the call. Returns
+    records as grid[s][r]. Raises NonFiniteError on a non-finite response
     (naming its stream index) or a diverged iterate.
     """
-    k_rows, d = len(rows), model.d
+    s_count, r_count = len(models), len(grid[0]) if len(grid) else 0
+    if not s_count or len(grid) != s_count or not r_count or any(len(rows) != r_count for rows in grid):
+        raise ValueError(f"need one model and the same number of rows for each stream, got {s_count} models")
+    d = models[0].d
+    if any(m.d != d for m in models):
+        raise ValueError("every stream's model must have the same dimension")
     theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
     if theta0.size != d:
         raise ValueError(f"theta0 has dimension {theta0.size}, model has {d}")
-    theta_star, h = model.theta_star, model.design.h
+    n_steps = _row_array(grid, lambda row: row.n_steps, np.int64)
+    clean_only = _row_array(grid, lambda row: row.clean_only, bool)
+    is_l1 = _row_array(grid, lambda row: isinstance(row.loss, L1), bool)
+    lo = _row_array(grid, lambda row: 1.0 if isinstance(row.loss, L1) else getattr(row.loss, "tau", math.inf))
+    gamma0 = _row_array(grid, lambda row: row.schedule.gamma0)
+    constant = _row_array(grid, lambda row: row.schedule.kind == CONSTANT, bool)
 
-    n_steps = np.array([row.n_steps for row in rows], dtype=np.int64)
-    clean_only = np.array([row.clean_only for row in rows])
-    is_l1 = np.array([isinstance(row.loss, L1) for row in rows])
-    lo = np.array([
-        1.0 if isinstance(row.loss, L1) else row.loss.tau if isinstance(row.loss, Huber) else math.inf
-        for row in rows
-    ])
-    gamma0 = np.array([row.schedule.gamma0 for row in rows])
-    constant = np.array([row.schedule.kind == CONSTANT for row in rows])
-
-    theta = np.tile(theta0, (k_rows, 1))
-    tmp = np.empty((k_rows, 1, d))
+    theta = np.tile(theta0, (s_count, r_count, 1))
+    tmp = np.empty((s_count, r_count, 1, d))
     sums = np.zeros_like(theta)  # per row: sum of its pre-update iterates so far
-    done = np.zeros(k_rows, dtype=np.int64)
-    min_r = np.full(k_rows, math.inf)
-    errs = [np.empty((3, row.plan.size)) for row in rows]
-    iterates = [np.empty((row.n_steps, d)) for row in rows] if record_iterates else None
-    window = _window_views(k_rows)
+    done = np.zeros((s_count, r_count), dtype=np.int64)
+    min_r = np.full((s_count, r_count), math.inf)
+    errs = [[np.empty((3, row.plan.size)) for row in stream] for stream in grid]
+    iterates = [[np.empty((row.n_steps, d)) for row in stream] for stream in grid] if record_iterates else None
+    window = _window_views(s_count, r_count)
+    plans = [[row.plan.tolist() for row in stream] for stream in grid]
     seen = 0
 
     for x, y, corrupted in chunks:
-        if np.all(done == n_steps):
-            break
-        eligible = ~(clean_only[None, :] & np.asarray(corrupted, dtype=bool)[:, None])
+        eligible = ~(clean_only[None] & np.asarray(corrupted, dtype=bool)[:, :, None])
         count = done + np.cumsum(eligible, axis=0)  # each row's own step index
         active = eligible & (count <= n_steps)
-        used = np.flatnonzero(active.any(axis=1))
+        read = active.any(axis=2)  # chunk rows each stream's estimators read
+        used = np.flatnonzero(read.any(axis=1))
         b = int(used[-1]) + 1 if used.size else 0  # rows past the last active one stay unread
-        bad = np.flatnonzero(~np.isfinite(y[:b]))
+        bad = np.argwhere(~np.isfinite(y[:b]) & read[:b])
         if bad.size:
-            raise NonFiniteError(f"non-finite response {float(y[bad[0]])!r} at stream index {seen + bad[0]}")
+            i, s = bad[0]
+            where = f" of stream {s}" if s_count > 1 else ""
+            raise NonFiniteError(f"non-finite response {float(y[i, s])!r} at stream index {seen + i}{where}")
         seen += y.shape[0]
         if b == 0:
             continue
-        active, count = active[:b], count[:b]
-        gamma = np.where(constant, gamma0, gamma0 / np.sqrt(np.maximum(count, 1)))
-        scale = np.where(active, np.where(is_l1, _SIGN_SCALE, gamma), 0.0)
-        bound = np.where(active, gamma * lo, 0.0)
+        # rows a stream does not read step nothing, and their responses are not looked at
+        active, y = active[:b], np.where(read[:b], y[:b], 0.0)
+        # in place where it can be: these arrays are chunk rows by S by R
+        gamma = np.sqrt(np.maximum(count[:b], 1, out=count[:b]))
+        del eligible, count
+        np.divide(gamma0, gamma, out=gamma)
+        np.copyto(gamma, gamma0, where=constant)
+        scale = np.where(is_l1, _SIGN_SCALE, gamma)
+        bound = np.multiply(gamma, lo, out=gamma)
+        idle = ~active
+        scale[idle], bound[idle] = 0.0, 0.0
+        del gamma, idle
 
         # checkpoints inside the chunk: the chunk row of each one's step
         own = np.cumsum(active, axis=0)  # each row's own steps up to and including a chunk row
         taken = own[-1]
-        marks = []
-        for k, row in enumerate(rows):
-            first, end = np.searchsorted(row.plan, [done[k] + 1, done[k] + taken[k] + 1])
-            targets = row.plan[first:end] - done[k]
-            marks.append((first, end, targets, np.searchsorted(own[:, k], targets)))
+        marks = {}  # (s, r): (first, end, targets, chunk rows) of each row's checkpoints in the chunk
+        before, reached = done.tolist(), (done + taken).tolist()
+        for s, stream in enumerate(grid):
+            for r, row in enumerate(stream):
+                first = bisect_right(plans[s][r], before[s][r])
+                end = bisect_right(plans[s][r], reached[s][r])
+                if end > first:
+                    targets = row.plan[first:end] - before[s][r]
+                    marks[s, r] = (first, end, targets, np.searchsorted(own[:, s, r], targets))
         # not np.union1d: np.unique imports numpy.ma on first use, which nothing else needs
         pause = np.zeros(b, dtype=bool)
         pause[b - 1] = True
-        for m in marks:
+        for m in marks.values():
             pause[m[3]] = True
         stops = np.flatnonzero(pause)
 
         # the loop pauses after each checkpoint row to read the iterates
         start = theta.copy()
-        after = np.empty((stops.size, k_rows, d))
-        xb, ys, rb, cb = x[:b], y[:b].tolist(), np.empty((b, k_rows)), np.empty((b, k_rows))
+        after = np.empty((stops.size,) + theta.shape)
+        xb, rb, cb = x[:b], np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
         with np.errstate(over="ignore", invalid="ignore"):
             begin = 0
             for j, stop in enumerate((stops + 1).tolist()):
                 part = slice(begin, stop)
-                _advance(theta, xb[part], ys[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
+                _advance(theta, xb[part], y[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
                 after[j] = theta
                 begin = stop
         if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
-            _raise_divergence(rows, rb, theta, active, done)
+            _raise_divergence(grid, rb, theta, active, done)
+        del scale, bound  # the chain's inputs: the closed forms below do not need them
 
-        for k, (row, (first, end, targets, at)) in enumerate(zip(rows, marks)):
-            if end > first:
-                last = after[np.searchsorted(stops, at), k]
-                bar = _averages(targets, at, own[:, k], cb[:, k], xb, start[k], sums[k], done[k])
-                errs[k][:, first:end] = _errors(bar, last, theta_star, h)
-            if iterates is not None and taken[k]:
-                path = np.cumsum(np.vstack([start[k], cb[:-1, k, None] * xb[:-1]]), axis=0)
-                iterates[k][done[k] : done[k] + taken[k]] = path[active[:, k]]
-        sums += taken[:, None] * start + ((taken - own) * cb).T @ xb
+        if iterates is not None:
+            paths = np.empty((b,) + theta.shape)
+            paths[0] = start
+            np.multiply(cb[:-1, :, :, None], xb[:-1, :, None, :], out=paths[1:])
+            np.cumsum(paths, axis=0, out=paths)
+            for (s, r), n in np.ndenumerate(taken):
+                if n:
+                    iterates[s][r][done[s, r] : done[s, r] + n] = paths[active[:, s, r], s, r]
+        rows_read = (b - np.argmax(read[b - 1 :: -1], axis=0)) * read.any(axis=0)  # per stream
+        for s, m in enumerate(rows_read.tolist()):
+            if not m:
+                continue
+            # a product's rounding depends on the length and layout of its operands, so each
+            # stream's products run on its own rows only, as they would with no other stream
+            xs = np.ascontiguousarray(xb[:m, s])
+            for r in range(r_count):
+                if (s, r) in marks:
+                    first, end, targets, at = marks[s, r]
+                    last = after[np.searchsorted(stops, at), s, r]
+                    bar = _averages(targets, at, own[:, s, r], cb[:, s, r], xs, start[s, r], sums[s, r], done[s, r])
+                    errs[s][r][:, first:end] = _errors(bar, last, models[s].theta_star, models[s].design.h)
+            sums[s] += taken[s, :, None] * start[s] + ((taken[s] - own[:m, s]) * cb[:m, s]).T @ xs
         min_r = np.minimum(min_r, np.where(active, np.abs(rb), math.inf).min(axis=0))
         done += taken
+        if np.all(done == n_steps):
+            break  # before the next chunk is drawn
+        del x, y, corrupted, xb, xs, after  # not held while the next chunk is drawn
 
     if np.any(done < n_steps):
-        k = int(np.flatnonzero(done < n_steps)[0])
+        s, r = np.argwhere(done < n_steps)[0]
         raise ValueError(
-            f"stream ended after {seen} samples with {loss_label(rows[k].loss)} at "
-            f"{done[k]} of {n_steps[k]} steps"
+            f"stream ended after {seen} samples with {loss_label(grid[s][r].loss)} at "
+            f"{done[s, r]} of {n_steps[s, r]} steps"
         )
     return [
-        RunRecord(
-            steps=row.plan,
-            err_h=errs[k][0],
-            err_2=errs[k][1],
-            err_last_h=errs[k][2],
-            config_digest=row.digest,
-            seed=int(row.seed),
-            theta_bar=sums[k] / row.n_steps,
-            theta_last=theta[k].copy(),
-            min_abs_residual=float(min_r[k]),
-            iterates=None if iterates is None else iterates[k],
-        )
-        for k, row in enumerate(rows)
+        [
+            RunRecord(
+                steps=row.plan, err_h=errs[s][r][0], err_2=errs[s][r][1], err_last_h=errs[s][r][2],
+                config_digest=row.digest, seed=int(row.seed), theta_bar=sums[s, r] / row.n_steps,
+                theta_last=theta[s, r].copy(), min_abs_residual=float(min_r[s, r]),
+                iterates=None if iterates is None else iterates[s][r],
+            )
+            for r, row in enumerate(stream)
+        ]
+        for s, stream in enumerate(grid)
     ]
 
 
@@ -354,14 +360,14 @@ def _errors(bar, last, theta_star, h) -> np.ndarray:
     ])
 
 
-def _raise_divergence(rows, residuals, theta, active, done) -> None:
+def _raise_divergence(grid, residuals, theta, active, done) -> None:
     bad = np.argwhere(~np.isfinite(residuals))
     if bad.size:
-        i, k = bad[0]
+        i, s, r = bad[0]
     else:  # the chunk's last update overflowed
-        i, k = residuals.shape[0] - 1, np.flatnonzero(~np.isfinite(theta).all(axis=1))[0]
-    row = rows[k]
-    step = int(done[k] + np.count_nonzero(active[: i + 1, k]))
+        i, (s, r) = residuals.shape[0] - 1, np.argwhere(~np.isfinite(theta).all(axis=2))[0]
+    row = grid[s][r]
+    step = int(done[s, r] + np.count_nonzero(active[: i + 1, s, r]))
     raise NonFiniteError(
         f"{loss_label(row.loss)} with gamma0={row.schedule.gamma0!r} diverged: "
         f"non-finite iterate by step {step}"
@@ -416,7 +422,7 @@ def run(
     theta0=None,
     record_iterates: bool = False,
 ) -> RunRecord:
-    """One estimator over a stream: the engine with K = 1.
+    """One estimator over one stream: the engine with S = R = 1.
 
     `source` is either a model (a fresh seeded stream is generated from it,
     chunk by chunk) or an (X, y, corrupted) triple, of which the first
@@ -429,14 +435,14 @@ def run(
     if isinstance(source, RegressionModel):
         if model is None:
             model = source
-        chunks = ((x, y, b != 0.0) for x, y, b in _chunk_arrays(source, seed))
+        chunks = model_chunks([source], [seed])
     else:
         if model is None:
             raise ValueError("a reference model is required when running from stream arrays")
         x, y, corrupted = _stream_arrays(source)
         if y.size < n_steps:
             raise ValueError(f"stream ended after {y.size} samples, {n_steps} steps requested")
-        chunks = array_chunks(x[:n_steps], y[:n_steps], corrupted[:n_steps])
+        chunks = array_chunks(x[:n_steps, None], y[:n_steps, None], corrupted[:n_steps, None])
     plan = _validated_checkpoints(checkpoint_plan, n_steps)
     theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
     row = Estimator(
@@ -444,7 +450,7 @@ def run(
         digest=run_digest(loss, schedule, n_steps, seed, model, theta0, plan),
         seed=int(seed),
     )
-    (record,) = run_batch([row], chunks, model, theta0, record_iterates)
+    ((record,),) = run_batch([[row]], chunks, [model], theta0, record_iterates)
     return record
 
 
@@ -480,5 +486,6 @@ def oracle_ls_run(
         L2(), StepSchedule(gamma0, CONSTANT), n_steps, checkpoint_plan,
         digest=oracle_digest(gamma0, n_steps, y.size, n_clean, model),
     )
-    (record,) = run_batch([row], array_chunks(x[clean], y[clean], corrupted[clean]), model, theta0)
+    chunks = array_chunks(x[clean, None], y[clean, None], corrupted[clean, None])
+    ((record,),) = run_batch([[row]], chunks, [model], theta0)
     return record

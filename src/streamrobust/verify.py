@@ -24,6 +24,7 @@ from .core import (
     Explicit,
     Identity,
     INV_SQRT,
+    L1,
     OutlierDistribution,
     PointMass,
     RegressionModel,
@@ -315,53 +316,49 @@ def check_moment_bounds(
         raise ValueError(f"need at least 100 replications, got {replications}")
     if schedule.kind != INV_SQRT:
         raise ValueError("the moment bounds are stated for the inverse square root schedule")
-    from .datagen import sample_arrays
-    from .optimizer import default_checkpoints
+    from .datagen import array_chunks, sample_arrays
+    from .optimizer import Estimator, default_checkpoints, run_batch
 
-    d = model.d
     theta_star = model.theta_star
-    theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
-    xs = np.empty((replications, n, d))
-    ys = np.empty((replications, n))
+    theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
+    # short streams, drawn one after another and stepped together as (n, replications, d)
+    x, y = np.empty((n, replications, model.d)), np.empty((n, replications))
     for r in range(replications):
-        x, y, _ = sample_arrays(model, n, derive_seed(seed, "rep", r))
-        xs[r] = x
-        ys[r] = y
+        x[:, r], y[:, r], _ = sample_arrays(model, n, derive_seed(seed, "rep", r))
+    row = Estimator(L1(), schedule, n, checkpoint_plan=[n])
+    flags = np.zeros(y.shape, dtype=bool)  # an L1 row reads every row, corrupted or not
+    records = run_batch([[row]] * replications, array_chunks(x, y, flags), [model] * replications, theta0, True)
+    iterates = np.stack([rec.iterates for (rec,) in records])
+    last = np.stack([rec.theta_last for (rec,) in records])
 
     checkpoints = default_checkpoints(n)
-    thetas = np.tile(theta0, (replications, 1))
     gamma0 = schedule.gamma0
     r2 = model.design.r2
     dist0sq = float(np.sum((theta0 - theta_star) ** 2))
 
     worst_z2 = -math.inf
     worst_z4 = -math.inf
-    next_cp = 0
-    for k in range(1, n + 1):
-        xk = xs[:, k - 1, :]
-        rk = ys[:, k - 1] - np.einsum("rd,rd->r", xk, thetas)
-        thetas += (gamma0 / math.sqrt(k)) * np.sign(rk)[:, None] * xk
-        if next_cp < checkpoints.size and k == checkpoints[next_cp]:
-            next_cp += 1
-            sq = np.sum((thetas - theta_star) ** 2, axis=1)
-            ln_ek = 1.0 + math.log(k)
-            c_k = dist0sq + gamma0**2 * r2 * ln_ek
-            d_k = (
-                dist0sq**2
-                + 8.0 * gamma0**2 * ln_ek * r2 * dist0sq
-                + gamma0**4 * ln_ek * r2**2 * (8.0 * ln_ek + math.pi**2 / 3.0)
-            )
-            for moments, bound, which in ((sq, c_k, 2), (sq * sq, d_k, 4)):
-                mean = float(moments.mean())
-                se = float(moments.std(ddof=1)) / math.sqrt(replications)
-                if se == 0.0:
-                    z = -math.inf if mean <= bound else math.inf
-                else:
-                    z = (mean - bound) / se
-                if which == 2:
-                    worst_z2 = max(worst_z2, z)
-                else:
-                    worst_z4 = max(worst_z4, z)
+    for k in checkpoints.tolist():
+        theta_k = iterates[:, k] if k < n else last  # the iterates after k steps
+        sq = np.sum((theta_k - theta_star) ** 2, axis=1)
+        ln_ek = 1.0 + math.log(k)
+        c_k = dist0sq + gamma0**2 * r2 * ln_ek
+        d_k = (
+            dist0sq**2
+            + 8.0 * gamma0**2 * ln_ek * r2 * dist0sq
+            + gamma0**4 * ln_ek * r2**2 * (8.0 * ln_ek + math.pi**2 / 3.0)
+        )
+        for moments, bound, which in ((sq, c_k, 2), (sq * sq, d_k, 4)):
+            mean = float(moments.mean())
+            se = float(moments.std(ddof=1)) / math.sqrt(replications)
+            if se == 0.0:
+                z = -math.inf if mean <= bound else math.inf
+            else:
+                z = (mean - bound) / se
+            if which == 2:
+                worst_z2 = max(worst_z2, z)
+            else:
+                worst_z4 = max(worst_z4, z)
     return [
         z_result("moment_bounds.second", worst_z2, detail=f"n={n} reps={replications}"),
         z_result("moment_bounds.fourth", worst_z4, detail=f"n={n} reps={replications}"),

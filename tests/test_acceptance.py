@@ -38,8 +38,8 @@ from streamrobust.core import (
     point_outliers,
     substream,
 )
-from streamrobust.datagen import sample_arrays
-from streamrobust.optimizer import oracle_ls_run, run
+from streamrobust.datagen import model_chunks, sample_arrays
+from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
 from streamrobust.verify import (
     check_avg_iterate_bound,
     check_error_loss_link,
@@ -75,18 +75,12 @@ def _rate_model(covariance, outliers) -> RegressionModel:
 
 
 def _rate_runs(model: RegressionModel, tag: str):
+    # the replications step together, each on its own seeded stream
     gamma0 = 1.0 / model.design.r2
-    records = [
-        run(
-            model,
-            L1(),
-            StepSchedule(gamma0),
-            RATE_N,
-            seed=derive_seed(RATE_SEED, tag, rep),
-        )
-        for rep in range(RATE_REPS)
-    ]
-    return mean_run_record(records)
+    seeds = [derive_seed(RATE_SEED, tag, rep) for rep in range(RATE_REPS)]
+    grid = [[Estimator(L1(), StepSchedule(gamma0), RATE_N, seed=seed)] for seed in seeds]
+    records = run_batch(grid, model_chunks([model] * RATE_REPS, seeds), [model] * RATE_REPS)
+    return mean_run_record([rec for (rec,) in records])
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamrobust.bench import (
+    _contamination,
     _corrupted_stream,
     BREAKDOWN_ESTIMATORS,
     BreakdownConfig,
@@ -22,10 +23,9 @@ from streamrobust.bench import (
     mean_run_record,
     render_loglog_svg,
     table_svg,
-    tune_huber_tau,
 )
-from streamrobust.core import Identity, RegressionModel, RunRecord, no_outliers
-from streamrobust.datagen import sample_arrays
+from streamrobust.core import Identity, RegressionModel, RunRecord, derive_seed, no_outliers
+from streamrobust.datagen import CHUNK, sample_arrays
 
 TINY = dict(n_samples="600", dim="4", passes="2", replications="2", seed="7")
 
@@ -187,31 +187,45 @@ def _stream_model():
     return RegressionModel(np.array([0.6, -0.2, 0.3]), Identity(3), 1.0, no_outliers())
 
 
+def _stream(n, eta, preset, value, passes, seed):
+    """The contamination and the chunks of a cell's stream."""
+    b = _contamination(n, eta, preset, value, derive_seed(seed, "contam"))
+    return b, list(_corrupted_stream(_stream_model(), b, passes, seed))
+
+
 def test_corrupted_stream_passes_are_permutations():
-    n, passes = 300, 3
-    x, y, corrupted, order = _corrupted_stream(_stream_model(), n, 0.3, "tiered", 1000.0, passes, 11)
-    assert x.shape == (n, 3)
-    assert order.shape == (passes * n,)
-    for p in range(passes):
-        assert np.array_equal(np.sort(order[p * n : (p + 1) * n]), np.arange(n))
-    # passes are shuffled differently, and reproducibly
-    assert not np.array_equal(order[:n], order[n : 2 * n])
-    again = _corrupted_stream(_stream_model(), n, 0.3, "tiered", 1000.0, passes, 11)
-    assert np.array_equal(again[3], order)
-    assert np.array_equal(again[1], y)
+    n, passes = CHUNK + 300, 3
+    _, chunks = _stream(n, 0.3, "tiered", 1000.0, passes, 11)
+    # chunks hold at most CHUNK rows and none spans two passes
+    assert [len(c[1]) for c in chunks] == [CHUNK, 300] * passes
+    x, y, b = (np.concatenate(parts) for parts in zip(*chunks))
+    corrupted = b != 0.0
+    assert x.shape == (passes * n, 3)
+    row_of = {row.tobytes(): i for i, row in enumerate(x[:n])}
+    orders = [np.array([row_of[row.tobytes()] for row in x[p * n : (p + 1) * n]]) for p in range(passes)]
+    for p, order in enumerate(orders):
+        # every pass visits each row once, with its response and flag
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(y[:n][order], y[p * n : (p + 1) * n])
+        assert np.array_equal(corrupted[:n][order], corrupted[p * n : (p + 1) * n])
+    # pass 0 is in draw order; later passes are shuffled differently, and reproducibly
+    assert np.array_equal(orders[0], np.arange(n))
+    assert not np.array_equal(orders[1], orders[2])
+    _, again = _stream(n, 0.3, "tiered", 1000.0, passes, 11)
+    for a, b in zip(chunks, again):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
 @pytest.mark.parametrize("preset", ["tiered", "point"])
 def test_corrupted_stream_shifts_y_and_flags_exactly_where_b_is_nonzero(preset):
-    from streamrobust.bench import _contamination
-    from streamrobust.core import derive_seed
-
-    n, seed = 400, 5
+    n, seed = 1300, 5
     model = _stream_model()
-    x, y, corrupted, _ = _corrupted_stream(model, n, 0.3, preset, 77.0, 1, seed)
+    b, chunks = _stream(n, 0.3, preset, 77.0, 1, seed)
+    x, y, b_rows = (np.concatenate(parts) for parts in zip(*chunks))
+    corrupted = b_rows != 0.0
     x_clean, y_clean, _ = sample_arrays(model, n, derive_seed(seed, "data"))
-    b = _contamination(n, 0.3, preset, 77.0, derive_seed(seed, "contam"))
     assert np.array_equal(x, x_clean)
+    assert np.array_equal(b_rows, b)
     assert np.array_equal(corrupted, b != 0.0)
     assert 0 < int(corrupted.sum()) < n
     assert np.array_equal(y, y_clean + b)
@@ -430,48 +444,6 @@ def test_fit_rate_slope_constant_error():
     slope, intercept, r2 = fit_rate_slope(_synthetic_record(steps, np.full(5, 2.0)), window=1.0)
     assert slope == pytest.approx(0.0, abs=1e-14)
     assert r2 == 1.0
-
-
-# ---------------------------------------------------------------------------
-# Huber tuning
-
-
-def test_tune_huber_tau_singleton():
-    cfg, _ = config_from_mapping(ConvergenceConfig, dict(TINY, covariances="identity"))
-    assert tune_huber_tau(cfg, [0.7]) == 0.7
-
-
-def test_tune_huber_tau_argmin_contract():
-    cfg, _ = config_from_mapping(
-        ConvergenceConfig,
-        dict(
-            n_samples="3000", dim="3", eta="0.3", passes="1", replications="2",
-            covariances="identity", preset="point", outlier_value="1000", seed="19",
-        )
-    )
-    grid = [0.01, 1.0, 100.0]
-    best = tune_huber_tau(cfg, grid)
-    assert best in grid
-    # measure each grid point the same way and confirm the argmin
-    from dataclasses import fields, replace
-
-    errs = {}
-    for tau in grid:
-        result = convergence_experiment(
-            replace(cfg, losses=("huber",), huber_tau=tau, covariances=("identity",))
-        )
-        errs[tau] = result.tables[0].rows[-1][1]
-    assert errs[best] == min(errs.values())
-
-
-def test_tune_huber_tau_grid_validation():
-    cfg, _ = config_from_mapping(ConvergenceConfig, dict(TINY))
-    with pytest.raises(ValueError, match="empty"):
-        tune_huber_tau(cfg, [])
-    with pytest.raises(ValueError, match="positive"):
-        tune_huber_tau(cfg, [-1.0, 1.0])
-    with pytest.raises(ValueError, match="ascending"):
-        tune_huber_tau(cfg, [1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,62 @@ def test_seed_precedence_flag_beats_env_beats_config(tmp_path, monkeypatch):
     assert "# seed=7" in (out_cfg / "manifest.csv").read_text()
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_seed_above_64_bits_is_usage_error(tmp_path, monkeypatch, capsys, source):
+    # 2**64 would otherwise alias seed 0
+    too_big = str(2**64)
+    text = TINY_CONV.replace("seed = 7", f"seed = {too_big}") if source == "config" else TINY_CONV
+    argv = ["convergence", "--config", _write_config(tmp_path, text), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--seed", too_big]
+    if source == "env":
+        monkeypatch.setenv(ENV_SEED, too_big)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert {"flag": "--seed", "env": ENV_SEED, "config": "config error: seed"}[source] in err
+    assert too_big in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_64_bit_seed_is_accepted(tmp_path):
+    cfg = _write_config(tmp_path, TINY_CONV.replace("seed = 7", f"seed = {2**64 - 1}"))
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert f"# seed={2**64 - 1}" in (tmp_path / "out" / "manifest.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "sections, found",
+    [("[breakdwon]\nn_samples = 40\n", "['breakdwon']"), (TINY_BREAK + "[verify]\nseed = 1\n", "['breakdown', 'verify']")],
+    ids=["misspelt", "extra"],
+)
+def test_config_without_its_section_or_with_a_stray_one_is_usage_error(tmp_path, capsys, sections, found):
+    cfg = _write_config(tmp_path, sections)
+    out_dir = tmp_path / "out"
+    assert main(["breakdown", "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and "[breakdown]" in err and found in err
+    assert not out_dir.exists()
+
+
+def test_config_with_both_experiment_sections_runs(tmp_path):
+    cfg = _write_config(tmp_path, TINY_CONV + TINY_BREAK)
+    assert main(["breakdown", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["convergence", "verify"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command):
+    target = tmp_path / "taken"
+    target.write_text("keep me\n")
+    argv = [command, "--out", str(target)]
+    argv += ["--config", _write_config(tmp_path, TINY_CONV)] if command == "convergence" else ["--only", "scalar_inequalities"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot use --out {str(target)!r} as a directory")
+    assert captured.out == ""
+    assert target.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["taken"] + (["config.ini"] if command == "convergence" else []))
+
+
 def test_bad_env_seed(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path, TINY_CONV)
     monkeypatch.setenv(ENV_SEED, "not-a-seed")

@@ -23,11 +23,12 @@ from streamrobust.core import (
     no_outliers,
     point_outliers,
     realize_covariance,
-    schedule_gamma,
     short_digest,
     spec_dimension,
     substream,
 )
+
+from scalar_reference import schedule_gamma
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamrobust.core import Identity, L1, RegressionModel, StepSchedule, no_outliers, point_outliers
+from streamrobust.core import Identity, L1, RegressionModel, StepSchedule, no_outliers, point_outliers, substream
 from streamrobust.datagen import CHUNK, array_chunks, sample_arrays, tiered_contamination
 from streamrobust.optimizer import run
 
@@ -136,3 +136,12 @@ def test_array_chunks_visit_rows_in_order(clean_model):
     plain = list(array_chunks(x, y, corrupted))
     assert np.array_equal(np.concatenate([c[1] for c in plain]), y)
 
+
+
+def test_identity_design_draws_equal_the_product_with_eye(clean_model):
+    # an identity design skips `@ chol.T`; the rows are those of the product
+    n = CHUNK + 7
+    x, _, _ = sample_arrays(clean_model, n, seed=8)
+    rng = substream(8, "x")
+    z = np.vstack([rng.standard_normal((CHUNK, 3)) for _ in range(2)])[:n]
+    assert np.array_equal(x, z @ np.eye(3))

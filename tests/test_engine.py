@@ -16,13 +16,15 @@ from streamrobust.core import (
     L2,
     NonFiniteError,
     RegressionModel,
-    SgdState,
+    Spectrum,
     StepSchedule,
     no_outliers,
     point_outliers,
 )
-from streamrobust.datagen import CHUNK, array_chunks, sample_arrays
-from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch, sgd_step
+from streamrobust.datagen import CHUNK, array_chunks, model_chunks, sample_arrays, stacked_chunks
+from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
+
+from scalar_reference import SgdState, sgd_step
 
 LOSSES = [L1(), L2(), Huber(0.7)]
 
@@ -67,17 +69,9 @@ def _same_vector(a, b, rtol=1e-12):
     return bool(np.linalg.norm(a - b) <= rtol * np.linalg.norm(b))
 
 
-@st.composite
-def engine_configs(draw):
-    d = draw(st.integers(1, 6))
-    n = draw(st.integers(CHUNK - 40, 2 * CHUNK + 40))  # always crosses a chunk boundary
-    data_seed = draw(st.integers(0, 2**32 - 1))
-    corrupt_frac = draw(st.sampled_from([0.0, 0.1, 0.4]))
-    rng = np.random.default_rng(data_seed)
-    corrupted = rng.random(n) < corrupt_frac
-    n_clean = int(np.count_nonzero(~corrupted))
+def _estimators(draw, n, n_clean, d, count):
     rows = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(count):
         clean_only = n_clean > 0 and draw(st.booleans())
         limit = n_clean if clean_only else n
         n_steps = draw(st.integers(1, limit))
@@ -90,30 +84,113 @@ def engine_configs(draw):
         rows.append(
             Estimator(draw(st.sampled_from(LOSSES)), StepSchedule(gamma0, kind), n_steps, plan, clean_only)
         )
-    theta0 = rng.standard_normal(d)
-    return d, n, data_seed, corrupted, rows, theta0
+    return rows
+
+
+def _model(d, theta_star, spectrum):
+    cov = Spectrum(tuple(np.linspace(1.0, 0.2, d)), basis_seed=d) if spectrum else Identity(d)
+    return RegressionModel(theta_star, cov, 1.0, no_outliers())
+
+
+@st.composite
+def engine_configs(draw):
+    """S streams of their own data, models and flags, with R rows each."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(CHUNK - 40, 2 * CHUNK + 40))  # always crosses a chunk boundary
+    r_count = draw(st.integers(1, 3))
+    streams = []
+    for _ in range(draw(st.integers(1, 3))):
+        data_seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(data_seed)
+        corrupted = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.4]))
+        model = _model(d, rng.standard_normal(d), draw(st.booleans()))
+        x, y, _ = sample_arrays(model, n, data_seed)
+        stream = (x, np.where(corrupted, y + 50.0, y), corrupted)
+        n_clean = int(np.count_nonzero(~corrupted))
+        streams.append((model, stream, _estimators(draw, n, n_clean, d, r_count)))
+    theta0 = np.random.default_rng(n).standard_normal(d)
+    return streams, theta0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(engine_configs())
 def test_engine_rows_match_separate_reference_loops(config):
-    d, n, data_seed, corrupted, rows, theta0 = config
-    model = RegressionModel(np.linspace(-1.0, 1.0, d), Identity(d), 1.0, no_outliers())
-    x, y, _ = sample_arrays(model, n, data_seed)
-    y = np.where(corrupted, y + 50.0, y)
+    streams, theta0 = config
+    models, arrays, grid = zip(*streams)
+    records = run_batch(grid, stacked_chunks([array_chunks(*a) for a in arrays]), models, theta0)
+    for model, stream, rows, recs in zip(models, arrays, grid, records):
+        for row, rec in zip(rows, recs):
+            errs, state, min_r = _reference(stream, row, model, theta0)
+            scale = np.linalg.norm(model.theta_star) + np.sqrt(errs[1])
+            assert np.array_equal(rec.steps, row.plan)
+            assert _same_distance(rec.err_h, errs[0], scale)
+            assert _same_distance(rec.err_2, errs[1], scale)
+            assert _close(rec.err_last_h, errs[2])
+            assert _same_vector(rec.theta_bar, state.theta_bar)
+            # the trajectory itself is the same arithmetic, step for step
+            assert np.array_equal(rec.theta_last, state.theta)
+            assert rec.min_abs_residual == min_r
 
-    records = run_batch(rows, array_chunks(x, y, corrupted), model, theta0)
-    for row, rec in zip(rows, records):
-        errs, state, min_r = _reference((x, y, corrupted), row, model, theta0)
-        scale = np.linalg.norm(model.theta_star) + np.sqrt(errs[1])
-        assert np.array_equal(rec.steps, row.plan)
-        assert _same_distance(rec.err_h, errs[0], scale)
-        assert _same_distance(rec.err_2, errs[1], scale)
-        assert _close(rec.err_last_h, errs[2])
-        assert _same_vector(rec.theta_bar, state.theta_bar)
-        # the trajectory itself is the same arithmetic, step for step
-        assert np.array_equal(rec.theta_last, state.theta)
-        assert rec.min_abs_residual == min_r
+
+@st.composite
+def stream_groups(draw):
+    """Seeded model streams with R rows each, and an order to group them in."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(200, 2 * CHUNK + 40))
+    r_count = draw(st.integers(1, 3))
+    models, seeds, grid = [], [], []
+    for k in range(draw(st.integers(2, 4))):
+        rng = np.random.default_rng(k)
+        eta = draw(st.sampled_from([0.0, 0.3]))
+        models.append(RegressionModel(rng.standard_normal(d), Identity(d), 1.0, point_outliers(eta, 30.0)))
+        seeds.append(draw(st.integers(0, 2**32 - 1)))
+        # a clean-only row takes at most the clean rows any such stream has
+        grid.append(_estimators(draw, n, n // 2, d, r_count))
+    order = draw(st.permutations(range(len(models))))
+    return models, seeds, grid, order
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(stream_groups())
+def test_a_stream_records_the_same_alone_and_in_a_group(config):
+    models, seeds, grid, order = config
+
+    def call(streams):
+        return run_batch(
+            [grid[s] for s in streams], model_chunks([models[s] for s in streams], [seeds[s] for s in streams]),
+            [models[s] for s in streams], record_iterates=True,
+        )
+
+    grouped = dict(zip(order, call(order)))
+    for s in range(len(models)):
+        (alone,) = call([s])
+        for a, b in zip(alone, grouped[s]):
+            for name in ("steps", "err_h", "err_2", "err_last_h", "theta_bar", "theta_last", "iterates"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (s, name)
+            assert a.min_abs_residual == b.min_abs_residual
+
+
+def test_a_finished_stream_ignores_the_rows_after_its_last_step(clean_model):
+    # stream 0 stops after 100 steps; its NaN at row 300 is never read, alone
+    # or beside a longer stream that keeps the chunk loop going
+    x, y, b = sample_arrays(clean_model, 600, seed=2)
+    y[300] = math.nan
+    other = sample_arrays(clean_model, 600, seed=3)
+    rows = [[Estimator(L1(), StepSchedule(0.2), 100)], [Estimator(L1(), StepSchedule(0.2), 600)]]
+    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(*other)])
+    (grouped, _) = run_batch(rows, chunks, [clean_model, clean_model])
+    alone = run((x, y, b), L1(), StepSchedule(0.2), 100, model=clean_model)
+    for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):
+        assert np.array_equal(getattr(grouped[0], name), getattr(alone, name)), name
+
+
+def test_a_grid_needs_one_model_and_equal_rows_per_stream(clean_model, point_model):
+    row = Estimator(L1(), StepSchedule(0.2), 10)
+    for grid, models in [([[row], [row, row]], [clean_model] * 2), ([[row]], [clean_model] * 2), ([], [])]:
+        with pytest.raises(ValueError, match="same number of rows"):
+            run_batch(grid, model_chunks(models, range(len(models))), models)
+    with pytest.raises(ValueError, match="same dimension"):
+        run_batch([[row], [row]], model_chunks([clean_model] * 2, [1, 2]), [clean_model, point_model])
 
 
 def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
@@ -124,7 +201,7 @@ def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
         Estimator(L1(), StepSchedule(0.2), 3000),
         Estimator(L2(), StepSchedule(0.05, CONSTANT), oracle.steps[-1], clean_only=True),
     ]
-    _, masked = run_batch(rows, array_chunks(x, y, corrupted), point_model)
+    ((_, masked),) = run_batch([rows], array_chunks(x[:, None], y[:, None], corrupted[:, None]), [point_model])
     assert np.array_equal(masked.steps, oracle.steps)
     assert np.array_equal(masked.theta_last, oracle.theta_last)
     assert masked.min_abs_residual == oracle.min_abs_residual

@@ -10,13 +10,14 @@ from streamrobust.core import (
     L1,
     L2,
     RegressionModel,
-    SgdState,
     StepSchedule,
     no_outliers,
     point_outliers,
 )
 from streamrobust.datagen import sample_arrays
-from streamrobust.optimizer import default_checkpoints, default_gamma0, oracle_ls_run, run, sgd_step
+from streamrobust.optimizer import default_checkpoints, default_gamma0, oracle_ls_run, run
+
+from scalar_reference import SgdState, sgd_step
 
 
 # ---------------------------------------------------------------------------
