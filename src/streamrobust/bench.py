@@ -325,9 +325,18 @@ def _loss_for(name: str, tau: float):
     raise ValueError(f"unknown estimator {name!r}")
 
 
-# Rows a multi-pass stream stores, and the contamination every stream holds,
-# are capped per engine call at this many bytes; larger grids take several calls.
-_STORED_BYTES_PER_CALL = 64 << 20
+# An engine call holds every stream's contamination b, the rows of every
+# stream that makes several passes, and per chunk row and stream about 6 R
+# floats of engine arrays and 2 d floats of drawn and stacked features.
+# Calls are capped at this many such bytes: at the default sizes that is 10
+# breakdown streams, or one stored convergence stream, per call.
+_BYTES_PER_CALL = 16 << 20
+
+
+def _stream_bytes(cfg, names) -> int:
+    """Bytes one stream adds to an engine call, as `_BYTES_PER_CALL` counts them."""
+    held = cfg.n_samples * (1 + (cfg.dim + 1) * (cfg.passes > 1))
+    return 8 * (held + CHUNK * (6 * len(names) + 2 * cfg.dim))
 
 
 def _cell_records(args) -> List[Dict[str, RunRecord]]:
@@ -370,13 +379,13 @@ def _cell_records(args) -> List[Dict[str, RunRecord]]:
 def _experiment_records(cfg, names, cells, jobs) -> List[Dict[str, RunRecord]]:
     """Records of every cell, in cell order.
 
-    Cells are split into engine calls whose streams store at most
-    _STORED_BYTES_PER_CALL, and with jobs > 1 each call's streams are split
-    across that many worker processes. A stream's records do not depend on
-    which streams share its call, so neither split changes a bit.
+    Cells are split into equal engine calls of at most _BYTES_PER_CALL, and
+    with jobs > 1 each call's streams are split across that many worker
+    processes. A stream's records do not depend on which streams share its
+    call, so neither split changes a bit.
     """
-    stored = 8 * cfg.n_samples * (1 + (cfg.dim + 1) * (cfg.passes > 1))
-    size = max(1, _STORED_BYTES_PER_CALL // stored)
+    per_call = max(1, _BYTES_PER_CALL // _stream_bytes(cfg, names))
+    size = math.ceil(len(cells) / math.ceil(len(cells) / per_call))  # no short last call
     workers = 1 if jobs is None else max(1, jobs)
     calls = []
     for at in range(0, len(cells), size):

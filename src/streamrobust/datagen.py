@@ -79,11 +79,6 @@ def stacked_chunks(streams: Sequence[Iterable[tuple]]) -> Iterator[tuple]:
         del stacked
 
 
-def model_chunks(models: Sequence[RegressionModel], seeds: Sequence[int]) -> Iterator[tuple]:
-    """The seeded streams of S models, stacked chunk by chunk; b != 0 flags corruption."""
-    return stacked_chunks([_chunk_arrays(model, seed) for model, seed in zip(models, seeds)])
-
-
 def array_chunks(x: np.ndarray, y: np.ndarray, corrupted: np.ndarray, order=None) -> Iterator[tuple]:
     """(X, y, corrupted) chunks of at most CHUNK rows, visiting rows in `order`.
 

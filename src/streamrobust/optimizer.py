@@ -55,7 +55,7 @@ from .core import (
     loss_label,
     short_digest,
 )
-from .datagen import array_chunks, model_chunks
+from .datagen import _chunk_arrays, array_chunks, stacked_chunks
 
 # The L1 influence scales residuals by the largest double instead of inf:
 # every residual with |r| > gamma * 2**-1023 is clipped to its sign, and a
@@ -257,7 +257,8 @@ def run_batch(
         # checkpoints inside the chunk: the chunk row of each one's step
         own = np.cumsum(active, axis=0)  # each row's own steps up to and including a chunk row
         taken = own[-1]
-        marks = {}  # (s, r): (first, end, targets, chunk rows) of each row's checkpoints in the chunk
+        marks = {}  # (s, r): first, end, targets, chunk rows and last iterates of its checkpoints in the chunk
+        readers = {b - 1: []}  # chunk row: the (s, r) rows with a checkpoint at it
         before, reached = done.tolist(), (done + taken).tolist()
         for s, stream in enumerate(grid):
             for r, row in enumerate(stream):
@@ -265,25 +266,21 @@ def run_batch(
                 end = bisect_right(plans[s][r], reached[s][r])
                 if end > first:
                     targets = row.plan[first:end] - before[s][r]
-                    marks[s, r] = (first, end, targets, np.searchsorted(own[:, s, r], targets))
-        # not np.union1d: np.unique imports numpy.ma on first use, which nothing else needs
-        pause = np.zeros(b, dtype=bool)
-        pause[b - 1] = True
-        for m in marks.values():
-            pause[m[3]] = True
-        stops = np.flatnonzero(pause)
+                    marks[s, r] = (first, end, targets, np.searchsorted(own[:, s, r], targets), [])
+                    for i in marks[s, r][3].tolist():
+                        readers.setdefault(i, []).append((s, r))
 
-        # the loop pauses after each checkpoint row to read the iterates
+        # the loop pauses after each checkpoint row to copy the iterates read there
         start = theta.copy()
-        after = np.empty((stops.size,) + theta.shape)
         xb, rb, cb = x[:b], np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
         with np.errstate(over="ignore", invalid="ignore"):
             begin = 0
-            for j, stop in enumerate((stops + 1).tolist()):
-                part = slice(begin, stop)
+            for stop in sorted(readers):
+                part = slice(begin, stop + 1)
                 _advance(theta, xb[part], y[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
-                after[j] = theta
-                begin = stop
+                for key in readers[stop]:
+                    marks[key][4].append(theta[key].copy())
+                begin = stop + 1
         if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
             _raise_divergence(grid, rb, theta, active, done)
         del scale, bound  # the chain's inputs: the closed forms below do not need them
@@ -305,16 +302,15 @@ def run_batch(
             xs = np.ascontiguousarray(xb[:m, s])
             for r in range(r_count):
                 if (s, r) in marks:
-                    first, end, targets, at = marks[s, r]
-                    last = after[np.searchsorted(stops, at), s, r]
+                    first, end, targets, at, last = marks[s, r]
                     bar = _averages(targets, at, own[:, s, r], cb[:, s, r], xs, start[s, r], sums[s, r], done[s, r])
-                    errs[s][r][:, first:end] = _errors(bar, last, models[s].theta_star, models[s].design.h)
+                    errs[s][r][:, first:end] = _errors(bar, np.array(last), models[s].theta_star, models[s].design.h)
             sums[s] += taken[s, :, None] * start[s] + ((taken[s] - own[:m, s]) * cb[:m, s]).T @ xs
         min_r = np.minimum(min_r, np.where(active, np.abs(rb), math.inf).min(axis=0))
         done += taken
         if np.all(done == n_steps):
             break  # before the next chunk is drawn
-        del x, y, corrupted, xb, xs, after  # not held while the next chunk is drawn
+        del x, y, corrupted, xb, xs, marks  # not held while the next chunk is drawn
 
     if np.any(done < n_steps):
         s, r = np.argwhere(done < n_steps)[0]
@@ -435,7 +431,7 @@ def run(
     if isinstance(source, RegressionModel):
         if model is None:
             model = source
-        chunks = model_chunks([source], [seed])
+        chunks = stacked_chunks([_chunk_arrays(source, seed)])
     else:
         if model is None:
             raise ValueError("a reference model is required when running from stream arrays")

@@ -38,7 +38,7 @@ from streamrobust.core import (
     point_outliers,
     substream,
 )
-from streamrobust.datagen import model_chunks, sample_arrays
+from streamrobust.datagen import _chunk_arrays, sample_arrays, stacked_chunks
 from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
 from streamrobust.verify import (
     check_avg_iterate_bound,
@@ -79,7 +79,8 @@ def _rate_runs(model: RegressionModel, tag: str):
     gamma0 = 1.0 / model.design.r2
     seeds = [derive_seed(RATE_SEED, tag, rep) for rep in range(RATE_REPS)]
     grid = [[Estimator(L1(), StepSchedule(gamma0), RATE_N, seed=seed)] for seed in seeds]
-    records = run_batch(grid, model_chunks([model] * RATE_REPS, seeds), [model] * RATE_REPS)
+    chunks = stacked_chunks([_chunk_arrays(model, seed) for seed in seeds])
+    records = run_batch(grid, chunks, [model] * RATE_REPS)
     return mean_run_record([rec for (rec,) in records])
 
 

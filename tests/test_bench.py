@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamrobust import bench
 from streamrobust.bench import (
     _contamination,
     _corrupted_stream,
@@ -406,6 +407,21 @@ def test_records_do_not_depend_on_name_order_or_jobs(configs):
             for a, b in zip(recs, other[key]):
                 for field in ("err_h", "theta_bar", "theta_last"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
+
+
+def test_a_capped_experiment_runs_equal_calls_with_the_same_records(monkeypatch):
+    cfg = BreakdownConfig(n_samples=600, dim=3, eta_grid=(0.1, 0.3, 0.5), replications=2, seed=4)
+    whole = breakdown_experiment(cfg, jobs=1)
+    sizes, cell_records = [], bench._cell_records
+    monkeypatch.setattr(bench, "_cell_records", lambda args: sizes.append(len(args[2])) or cell_records(args))
+    monkeypatch.setattr(bench, "_BYTES_PER_CALL", 4 * bench._stream_bytes(cfg, cfg.estimators))
+    split = breakdown_experiment(cfg, jobs=1)
+    assert sizes == [3, 3]  # six streams, at most four a call
+    assert split.tables == whole.tables
+    for key, recs in whole.records.items():
+        for a, b in zip(recs, split.records[key]):
+            for field in ("err_h", "theta_bar", "theta_last"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
 
 
 # ---------------------------------------------------------------------------

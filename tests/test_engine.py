@@ -21,7 +21,7 @@ from streamrobust.core import (
     no_outliers,
     point_outliers,
 )
-from streamrobust.datagen import CHUNK, array_chunks, model_chunks, sample_arrays, stacked_chunks
+from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays, stacked_chunks
 from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
 
 from scalar_reference import SgdState, sgd_step
@@ -157,7 +157,7 @@ def test_a_stream_records_the_same_alone_and_in_a_group(config):
 
     def call(streams):
         return run_batch(
-            [grid[s] for s in streams], model_chunks([models[s] for s in streams], [seeds[s] for s in streams]),
+            [grid[s] for s in streams], stacked_chunks([_chunk_arrays(models[s], seeds[s]) for s in streams]),
             [models[s] for s in streams], record_iterates=True,
         )
 
@@ -188,9 +188,10 @@ def test_a_grid_needs_one_model_and_equal_rows_per_stream(clean_model, point_mod
     row = Estimator(L1(), StepSchedule(0.2), 10)
     for grid, models in [([[row], [row, row]], [clean_model] * 2), ([[row]], [clean_model] * 2), ([], [])]:
         with pytest.raises(ValueError, match="same number of rows"):
-            run_batch(grid, model_chunks(models, range(len(models))), models)
+            run_batch(grid, stacked_chunks([_chunk_arrays(m, s) for s, m in enumerate(models)]), models)
     with pytest.raises(ValueError, match="same dimension"):
-        run_batch([[row], [row]], model_chunks([clean_model] * 2, [1, 2]), [clean_model, point_model])
+        chunks = stacked_chunks([_chunk_arrays(clean_model, 1), _chunk_arrays(clean_model, 2)])
+        run_batch([[row], [row]], chunks, [clean_model, point_model])
 
 
 def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
