@@ -117,11 +117,17 @@ def effective_eta(dist: OutlierDistribution, sigma: float, order: int = DEFAULT_
     return dist.eta * (1.0 - outlier_gauss_moment(dist, sigma, order))
 
 
+def theta_array(theta, model: RegressionModel) -> np.ndarray:
+    """theta as a float array, checked before any arithmetic: its last axis must have the model's dimension."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (model.d,):
+        raise ValueError(f"theta of shape {theta.shape} does not end in the model's dimension {model.d}")
+    return theta
+
+
 def pred_error_sigma(theta: np.ndarray, model: RegressionModel):
     """Prediction error scale ||theta - theta*||_H of one iterate (d,) or a stack (..., d)."""
-    delta = np.asarray(theta, dtype=float) - model.theta_star
-    if delta.shape[-1:] != (model.d,):
-        raise ValueError(f"theta has shape {np.shape(theta)}, model has dimension {model.d}")
+    delta = theta_array(theta, model) - model.theta_star
     h = model.design.h
     return np.sqrt(np.maximum(np.sum(delta @ h * delta, axis=-1), 0.0))
 
@@ -162,10 +168,7 @@ def gradient_scale(z, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
 
 def gradient(theta: np.ndarray, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
     """Gradient of the population loss at theta."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    delta = theta - model.theta_star
-    if delta.size != model.d:
-        raise ValueError(f"theta has dimension {theta.size}, model has {model.d}")
+    delta = theta_array(np.reshape(theta, -1), model) - model.theta_star
     h = model.design.h
     hdelta = h @ delta
     z = math.sqrt(max(float(delta @ hdelta), 0.0))

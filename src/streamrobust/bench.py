@@ -295,7 +295,7 @@ def _corrupted_stream(model, b, passes, seed):
     """
     n = b.size
     stored = (np.empty((n, model.d)), np.empty(n)) if passes > 1 else None
-    draws = _chunk_arrays(model, derive_seed(seed, "data"))
+    draws = _chunk_arrays(model, derive_seed(seed, "data"), n)
     for start in range(0, n, CHUNK):  # the frame holds no chunk while the engine uses it
         yield _shifted_chunk(next(draws), b, start, stored)
     order_seed = derive_seed(seed, "order")
@@ -304,10 +304,10 @@ def _corrupted_stream(model, b, passes, seed):
 
 
 def _shifted_chunk(chunk, b, start, stored):
-    """The rows from `start` of a drawn chunk, y shifted by b; copied into `stored` when given."""
+    """A drawn chunk of the rows from `start`, y shifted by b; copied into `stored` when given."""
     x, y, _ = chunk
-    stop = min(start + CHUNK, b.size)
-    x, y = x[: stop - start], y[: stop - start] + b[start:stop]
+    stop = start + y.size
+    y = y + b[start:stop]
     if stored:
         stored[0][start:stop], stored[1][start:stop] = x, y
     return x, y, b[start:stop]

@@ -141,10 +141,6 @@ def _prepare_out_dir(raw: str) -> Path:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    given = {"--config": args.config is not None, "--jobs": args.jobs is not None, "--svg": args.svg}
-    ignored = [flag for flag, present in given.items() if present]
-    if ignored:
-        return _fail_usage(f"verify does not take {', '.join(ignored)}")
     seed = _resolve_seed(args.seed, None, DEFAULT_SUITE_SEED)
     out = None if args.out is None else _prepare_out_dir(args.out)
     try:
@@ -218,40 +214,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"streamrobust {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_only: bool, with_out_required: bool) -> None:
-        p.add_argument("--config", default=None, metavar="PATH", help="INI config file")
+    commands = (
+        ("verify", "run the numerical verification suite", cmd_verify),
+        ("convergence", "convergence-rate experiment", cmd_convergence),
+        ("breakdown", "breakdown sweep over corruption levels", cmd_breakdown),
+    )
+    for name, help_text, func in commands:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=None, metavar="U64", help="master seed")
-        p.add_argument("--jobs", type=int, default=None, metavar="N", help="processes to share the streams")
-        p.add_argument("--svg", action="store_true", help="also write SVG charts")
-        if with_only:
+        if name == "verify":
             p.add_argument("--only", default=None, metavar="NAME", help="run one check group")
-        if with_out_required:
-            p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-        else:
             p.add_argument("--out", default=None, metavar="DIR", help="output directory")
-
-    p_verify = sub.add_parser("verify", help="run the numerical verification suite")
-    common(p_verify, with_only=True, with_out_required=False)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_conv = sub.add_parser("convergence", help="convergence-rate experiment")
-    common(p_conv, with_only=False, with_out_required=True)
-    p_conv.set_defaults(func=cmd_convergence)
-
-    p_break = sub.add_parser("breakdown", help="breakdown sweep over corruption levels")
-    common(p_break, with_only=False, with_out_required=True)
-    p_break.set_defaults(func=cmd_breakdown)
-
+        else:
+            p.add_argument("--config", default=None, metavar="PATH", help="INI config file")
+            p.add_argument("--jobs", type=int, default=None, metavar="N", help="processes to share the streams")
+            p.add_argument("--svg", action="store_true", help="also write SVG charts")
+            p.add_argument("--out", required=True, metavar="DIR", help="output directory")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error, or --help or --version
+        return exc.code
     if args.seed is not None and not 0 <= args.seed <= SEED_MAX:
         return _fail_usage(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
-    if args.jobs is not None and args.jobs < 1:
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
         return _fail_usage(f"--jobs must be >= 1, got {args.jobs}")
     try:
         return args.func(args)

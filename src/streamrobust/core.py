@@ -224,6 +224,12 @@ class OutlierDistribution:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "components", comps)
 
+    @cached_property
+    def _table(self) -> tuple:
+        """Cumulative weights and each component's lower end and width (0 for a point mass)."""
+        ends = [(c.value, 0.0) if isinstance(c, PointMass) else (c.lo, c.hi - c.lo) for _, c in self.components]
+        return (np.cumsum([w for w, _ in self.components]), *np.array(ends).T)
+
     def values_from_uniforms(self, u_component: np.ndarray, u_position: np.ndarray) -> np.ndarray:
         """Map uniform draws to conditional outlier values.
 
@@ -232,22 +238,14 @@ class OutlierDistribution:
         is ignored by point masses. Keeping this mapping fixed means any
         consumer burning the same two uniform arrays reproduces the same
         values, which keeps lazily and eagerly generated streams aligned.
+        A value is lo + width * u_position: exact for a point mass, of width 0.
         """
-        u_component = np.asarray(u_component, dtype=float)
+        cum, lo, width = self._table
         u_position = np.asarray(u_position, dtype=float)
-        cum = np.cumsum([w for w, _ in self.components])
-        idx = np.searchsorted(cum, u_component, side="right")
-        idx = np.minimum(idx, len(self.components) - 1)
-        out = np.empty(u_component.shape, dtype=float)
-        for j, (_, comp) in enumerate(self.components):
-            mask = idx == j
-            if not mask.any():
-                continue
-            if isinstance(comp, PointMass):
-                out[mask] = comp.value
-            else:
-                out[mask] = comp.lo + (comp.hi - comp.lo) * u_position[mask]
-        return out
+        if lo.size == 1:
+            return lo[0] + width[0] * u_position
+        idx = np.minimum(np.searchsorted(cum, u_component, side="right"), lo.size - 1)
+        return lo[idx] + width[idx] * u_position
 
 
 def no_outliers() -> OutlierDistribution:
@@ -366,6 +364,18 @@ class NonFiniteError(ValueError):
     """A response, residual, iterate or error came out NaN or infinite."""
 
 
+ERROR_FIELDS = ("err_h", "err_2", "err_last_h")
+
+
+def check_errors(errors) -> None:
+    """Raise unless every error is finite and >= 0; errors[i] holds the values of ERROR_FIELDS[i]."""
+    for name, vals in zip(ERROR_FIELDS, errors):
+        if not np.isfinite(vals).all():
+            raise NonFiniteError(f"{name} contains a non-finite value")
+        if (vals < 0).any():
+            raise ValueError(f"{name} contains a negative value")
+
+
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     """Checkpointed error trajectory of one run.
@@ -391,37 +401,24 @@ class RunRecord:
         steps = np.asarray(self.steps, dtype=np.int64)
         if (steps[1:] <= steps[:-1]).any():
             raise ValueError("checkpoint iterations must be strictly increasing")
-        for name in ("err_h", "err_2", "err_last_h"):
-            vals = np.asarray(getattr(self, name), dtype=float)
+        errors = [np.asarray(getattr(self, name), dtype=float) for name in ERROR_FIELDS]
+        for name, vals in zip(ERROR_FIELDS, errors):
             if vals.shape != steps.shape:
                 raise ValueError(f"{name} and steps must have matching length")
-            if not np.isfinite(vals).all():
-                raise NonFiniteError(f"{name} contains a non-finite value")
-            if (vals < 0).any():
-                raise ValueError(f"{name} contains a negative value")
             object.__setattr__(self, name, vals)
+        check_errors(errors)
         object.__setattr__(self, "steps", steps)
+
+    @classmethod
+    def checked(cls, **fields) -> "RunRecord":
+        """A record from every field, checked by the caller: the engine checks a grid's errors at once."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
 
     @property
     def final_err_h(self) -> float:
         return float(self.err_h[-1])
-
-    def to_lines(self) -> list:
-        lines = [
-            f"# digest={self.config_digest}",
-            f"# seed={self.seed}",
-            "n,err_H,err_2,err_last_H",
-        ]
-        for i in range(self.steps.size):
-            lines.append(
-                f"{int(self.steps[i])},{float(self.err_h[i])!r},"
-                f"{float(self.err_2[i])!r},{float(self.err_last_h[i])!r}"
-            )
-        return lines
-
-    def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
 
 
 def short_digest(parts: Sequence) -> str:

@@ -5,16 +5,16 @@ are one observation, and corrupted[i] flags it for the harness. Streams are
 drawn in fixed-size chunks from three separate generator substreams
 (features, dense noise, corruption), so the corruption process is oblivious
 by construction: regenerating with the same seed but a different theta*
-changes y only through <x, theta*>. Because chunk boundaries never move, the
-chunked path (`_chunk_arrays`, which the engine reads as it goes) and the
-materialized one (`sample_arrays`) yield bit-identical rows for identical
-seeds.
+changes y only through <x, theta*>. A stream's first n rows do not depend on
+how many rows are drawn, so the chunked path (`_chunk_arrays`, which the
+engine reads as it goes) and the materialized one (`sample_arrays`) yield
+bit-identical rows for identical seeds, whatever their lengths.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .core import Identity, RegressionModel, substream
 CHUNK = 1024
 
 
-def _chunk_arrays(model: RegressionModel, seed: int) -> Iterator[tuple]:
-    """Infinite stream of (X, y, b) chunk arrays drawn from the model law.
+def _chunk_arrays(model: RegressionModel, seed: int, n: Optional[int] = None) -> Iterator[tuple]:
+    """(X, y, b) chunk arrays drawn from the model law: n rows in all, or no end with n omitted.
 
     The corruption substream always burns three uniforms per sample (flag,
     component pick, position), whether or not the flag fires, keeping stream
@@ -33,20 +33,27 @@ def _chunk_arrays(model: RegressionModel, seed: int) -> Iterator[tuple]:
     # z @ eye(d) == z bit for bit, so an identity design skips the product
     chol_t = None if isinstance(model.covariance, Identity) else model.design.chol.T
     rngs = substream(seed, "x"), substream(seed, "noise"), substream(seed, "outlier")
-    while True:  # the frame holds no chunk between draws: many streams may be suspended at once
-        yield _draw_chunk(model, chol_t, *rngs)
+    left = math.inf if n is None else n
+    while left > 0:  # the frame holds no chunk between draws: many streams may be suspended at once
+        yield _draw_chunk(model, chol_t, min(CHUNK, left), *rngs)
+        left -= CHUNK
 
 
-def _draw_chunk(model, chol_t, rng_x, rng_noise, rng_outlier) -> tuple:
-    x = rng_x.standard_normal((CHUNK, model.d))
+def _draw_chunk(model, chol_t, rows, rng_x, rng_noise, rng_outlier) -> tuple:
+    """The next `rows` <= CHUNK rows of a stream, with the products and uniform offsets of a whole chunk.
+
+    A product's rounding depends on its operands' shapes, so short chunks are
+    drawn into zero-padded CHUNK-row features; row i's uniforms sit at i, CHUNK + i, 2 CHUNK + i.
+    """
+    x = np.zeros((CHUNK, model.d))
+    rng_x.standard_normal(out=x[:rows])
     if chol_t is not None:
         x = x @ chol_t
-    eps = rng_noise.standard_normal(CHUNK) * model.sigma
-    u_flag = rng_outlier.random(CHUNK)
-    u_comp = rng_outlier.random(CHUNK)
-    u_pos = rng_outlier.random(CHUNK)
+    eps = rng_noise.standard_normal(rows) * model.sigma
+    u = rng_outlier.random(2 * CHUNK + rows)
+    u_flag, u_comp, u_pos = u[:rows], u[CHUNK : CHUNK + rows], u[2 * CHUNK :]
     b = np.where(u_flag < model.outliers.eta, model.outliers.values_from_uniforms(u_comp, u_pos), 0.0)
-    return x, x @ model.theta_star + eps + b, b
+    return x[:rows], (x @ model.theta_star)[:rows] + eps + b, b
 
 
 def sample_arrays(model: RegressionModel, n: int, seed: int) -> tuple:
@@ -54,11 +61,8 @@ def sample_arrays(model: RegressionModel, n: int, seed: int) -> tuple:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     xs, ys, bs = np.empty((n, model.d)), np.empty(n), np.empty(n)
-    for start, (x, y, b) in zip(range(0, n, CHUNK), _chunk_arrays(model, seed)):
-        stop = min(start + CHUNK, n)
-        xs[start:stop] = x[: stop - start]
-        ys[start:stop] = y[: stop - start]
-        bs[start:stop] = b[: stop - start]
+    for start, (x, y, b) in zip(range(0, n, CHUNK), _chunk_arrays(model, seed, n)):
+        xs[start : start + CHUNK], ys[start : start + CHUNK], bs[start : start + CHUNK] = x, y, b
     return xs, ys, bs
 
 

@@ -30,16 +30,17 @@ A stream is a triple of arrays (X, y, corrupted), as `datagen` draws it;
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy import add, matmul, multiply, subtract
 
-try:  # the bare ufunc: np.clip's argument checks cost more than the clip itself
+try:  # bare: np.clip's argument checks cost more than the clip, and np.einsum wraps c_einsum
+    from numpy._core.multiarray import c_einsum as _einsum
     from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
     from numpy.core.umath import clip as _clip
 
 from .core import (
@@ -52,6 +53,7 @@ from .core import (
     RegressionModel,
     RunRecord,
     StepSchedule,
+    check_errors,
     loss_label,
     short_digest,
 )
@@ -173,10 +175,6 @@ def _advance(theta, x, y, scale, lo, r_out, c_out, window, tmp) -> None:
         c_out[a : a + n] = buf["c"][:n]
 
 
-def _row_array(rows, value, dtype=float) -> np.ndarray:
-    return np.array([[value(row) for row in stream] for stream in rows], dtype=dtype)
-
-
 def run_batch(
     grid: Sequence[Sequence[Estimator]],
     chunks: Iterable[tuple],
@@ -193,7 +191,7 @@ def run_batch(
     step coefficient; masks and step sizes are laid out per chunk, then
     `_advance` runs the chunk, pausing after each checkpoint row. The running
     sum of pre-update iterates, the averages at checkpoints and min |r| follow
-    in closed form from the chunk's coefficients, stream by stream, so memory
+    in closed form from the chunk's coefficients, for every row at once, so memory
     stays bounded by the chunk size whatever the stream length, and a
     stream's records do not depend on which streams share the call. Returns
     records as grid[s][r]. Raises NonFiniteError on a non-finite response
@@ -208,34 +206,46 @@ def run_batch(
     theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
     if theta0.size != d:
         raise ValueError(f"theta0 has dimension {theta0.size}, model has {d}")
-    n_steps = _row_array(grid, lambda row: row.n_steps, np.int64)
-    clean_only = _row_array(grid, lambda row: row.clean_only, bool)
-    is_l1 = _row_array(grid, lambda row: isinstance(row.loss, L1), bool)
-    lo = _row_array(grid, lambda row: 1.0 if isinstance(row.loss, L1) else getattr(row.loss, "tau", math.inf))
-    gamma0 = _row_array(grid, lambda row: row.schedule.gamma0)
-    constant = _row_array(grid, lambda row: row.schedule.kind == CONSTANT, bool)
+    # row k = s R + r; its checkpoints are plan[at[k] : at[k + 1]], their errors those columns of errs
+    rows = [row for stream in grid for row in stream]
+    k_count = len(rows)
+
+    def row_array(values, dtype=float) -> np.ndarray:
+        return np.array(values, dtype=dtype).reshape(s_count, r_count)
+
+    n_steps = row_array([row.n_steps for row in rows], np.int64)
+    clean_only = row_array([row.clean_only for row in rows], bool)
+    is_l1 = row_array([isinstance(row.loss, L1) for row in rows], bool)
+    lo = row_array([1.0 if isinstance(row.loss, L1) else getattr(row.loss, "tau", math.inf) for row in rows])
+    gamma0 = row_array([row.schedule.gamma0 for row in rows])
+    constant = row_array([row.schedule.kind == CONSTANT for row in rows], bool)
+    at = np.cumsum([0] + [row.plan.size for row in rows])
+    plan = np.concatenate([row.plan for row in rows])
+    plan_row = np.repeat(np.arange(k_count), np.diff(at))
+    errs = np.empty((3, plan.size))
+    theta_star, h = np.array([m.theta_star for m in models]), [m.design.h for m in models]
+    paths = [] if record_iterates else None  # per chunk: the iterates before each row, and who stepped
 
     theta = np.tile(theta0, (s_count, r_count, 1))
     tmp = np.empty((s_count, r_count, 1, d))
     sums = np.zeros_like(theta)  # per row: sum of its pre-update iterates so far
     done = np.zeros((s_count, r_count), dtype=np.int64)
     min_r = np.full((s_count, r_count), math.inf)
-    errs = [[np.empty((3, row.plan.size)) for row in stream] for stream in grid]
-    iterates = [[np.empty((row.n_steps, d)) for row in stream] for stream in grid] if record_iterates else None
     window = _window_views(s_count, r_count)
-    plans = [[row.plan.tolist() for row in stream] for stream in grid]
     seen = 0
 
     for x, y, corrupted in chunks:
         eligible = ~(clean_only[None] & np.asarray(corrupted, dtype=bool)[:, :, None])
-        count = done + np.cumsum(eligible, axis=0)  # each row's own step index
+        count = eligible.astype(np.int64)  # each row's own step index; a cumsum in place is about 3x faster
+        np.cumsum(count, axis=0, out=count)
+        count += done
         active = eligible & (count <= n_steps)
         read = active.any(axis=2)  # chunk rows each stream's estimators read
         used = np.flatnonzero(read.any(axis=1))
         b = int(used[-1]) + 1 if used.size else 0  # rows past the last active one stay unread
-        bad = np.argwhere(~np.isfinite(y[:b]) & read[:b])
-        if bad.size:
-            i, s = bad[0]
+        bad = ~np.isfinite(y[:b]) & read[:b]
+        if bad.any():
+            i, s = np.argwhere(bad)[0]
             where = f" of stream {s}" if s_count > 1 else ""
             raise NonFiniteError(f"non-finite response {float(y[i, s])!r} at stream index {seen + i}{where}")
         seen += y.shape[0]
@@ -243,6 +253,8 @@ def run_batch(
             continue
         # rows a stream does not read step nothing, and their responses are not looked at
         active, y = active[:b], np.where(read[:b], y[:b], 0.0)
+        own = np.minimum(count[:b], n_steps) - done  # each row's own steps up to and including a chunk row
+        taken = own[-1]
         # in place where it can be: these arrays are chunk rows by S by R
         gamma = np.sqrt(np.maximum(count[:b], 1, out=count[:b]))
         del eligible, count
@@ -254,63 +266,77 @@ def run_batch(
         scale[idle], bound[idle] = 0.0, 0.0
         del gamma, idle
 
-        # checkpoints inside the chunk: the chunk row of each one's step
-        own = np.cumsum(active, axis=0)  # each row's own steps up to and including a chunk row
-        taken = own[-1]
-        marks = {}  # (s, r): first, end, targets, chunk rows and last iterates of its checkpoints in the chunk
-        readers = {b - 1: []}  # chunk row: the (s, r) rows with a checkpoint at it
-        before, reached = done.tolist(), (done + taken).tolist()
-        for s, stream in enumerate(grid):
-            for r, row in enumerate(stream):
-                first = bisect_right(plans[s][r], before[s][r])
-                end = bisect_right(plans[s][r], reached[s][r])
-                if end > first:
-                    targets = row.plan[first:end] - before[s][r]
-                    marks[s, r] = (first, end, targets, np.searchsorted(own[:, s, r], targets), [])
-                    for i in marks[s, r][3].tolist():
-                        readers.setdefault(i, []).append((s, r))
+        # every row's checkpoints in the chunk: mark j is entry marks[j] of plan, row mark_row[j]'s
+        # mark_step[j]-th step in the chunk, at chunk row mark_at[j], found in one search of the
+        # rows' nondecreasing step counts laid end to end, column c offset by c (b + 1)
+        before = done.reshape(k_count)
+        inside = plan > before[plan_row]
+        inside &= plan <= (before + taken.reshape(k_count))[plan_row]
+        marks = np.flatnonzero(inside)
+        mark_row = plan_row[marks]
+        mark_step = plan[marks] - before[mark_row]
+        keys = own.reshape(b, k_count).T + (np.arange(k_count) * (b + 1))[:, None]
+        mark_at = np.searchsorted(keys.ravel(), mark_row * (b + 1) + mark_step) - mark_row * b
+        first = np.flatnonzero(np.diff(mark_row, prepend=-1))  # each marked row's first mark: marks are by row
 
         # the loop pauses after each checkpoint row to copy the iterates read there
-        start = theta.copy()
+        start, last = theta.copy(), np.empty((marks.size, d))
         xb, rb, cb = x[:b], np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
         with np.errstate(over="ignore", invalid="ignore"):
             begin = 0
-            for stop in sorted(readers):
+            for stop in sorted(set(mark_at.tolist()) | {b - 1}):  # not np.unique, which imports numpy.ma
                 part = slice(begin, stop + 1)
                 _advance(theta, xb[part], y[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
-                for key in readers[stop]:
-                    marks[key][4].append(theta[key].copy())
+                reached = np.flatnonzero(mark_at == stop)
+                last[reached] = theta.reshape(k_count, d)[mark_row[reached]]
                 begin = stop + 1
         if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
             _raise_divergence(grid, rb, theta, active, done)
         del scale, bound  # the chain's inputs: the closed forms below do not need them
 
-        if iterates is not None:
-            paths = np.empty((b,) + theta.shape)
-            paths[0] = start
-            np.multiply(cb[:-1, :, :, None], xb[:-1, :, None, :], out=paths[1:])
-            np.cumsum(paths, axis=0, out=paths)
-            for (s, r), n in np.ndenumerate(taken):
-                if n:
-                    iterates[s][r][done[s, r] : done[s, r] + n] = paths[active[:, s, r], s, r]
+        if paths is not None:
+            path = np.empty((b,) + theta.shape)
+            path[0] = start
+            np.multiply(cb[:-1, :, :, None], xb[:-1, :, None, :], out=path[1:])
+            np.cumsum(path, axis=0, out=path)
+            paths.append((path.reshape(b, k_count, d), active.reshape(b, k_count)))
+
+        # a product's rounding depends on the length and layout of its operands, so each
+        # stream's products run on its own rows only, as they would with no other stream
         rows_read = (b - np.argmax(read[b - 1 :: -1], axis=0)) * read.any(axis=0)  # per stream
+        ahead = np.empty((marks.size, d))  # per mark: sum over chunk rows l <= its row of (t - own_l) coef_l x_l
+        moved = np.zeros_like(sums)  # per row: sum over the chunk of (taken - own_l) coef_l x_l
+        stream_marks = np.searchsorted(mark_row, np.arange(0, k_count + 1, r_count)).tolist()
+        per_mark = list(zip((mark_row % r_count).tolist(), mark_step.tolist(), (mark_at + 1).tolist()))
         for s, m in enumerate(rows_read.tolist()):
             if not m:
                 continue
-            # a product's rounding depends on the length and layout of its operands, so each
-            # stream's products run on its own rows only, as they would with no other stream
             xs = np.ascontiguousarray(xb[:m, s])
-            for r in range(r_count):
-                if (s, r) in marks:
-                    first, end, targets, at, last = marks[s, r]
-                    bar = _averages(targets, at, own[:, s, r], cb[:, s, r], xs, start[s, r], sums[s, r], done[s, r])
-                    errs[s][r][:, first:end] = _errors(bar, np.array(last), models[s].theta_star, models[s].design.h)
-            sums[s] += taken[s, :, None] * start[s] + ((taken[s] - own[:m, s]) * cb[:m, s]).T @ xs
+            for j in range(stream_marks[s], stream_marks[s + 1]):
+                r, t, i = per_mark[j]
+                ahead[j] = (cb[:i, s, r] * (t - own[:i, s, r])) @ xs[:i]
+            moved[s] = ((taken[s] - own[:m, s]) * cb[:m, s]).T @ xs
+        # with theta_j = start + sum_{l<j} coef_l x_l, a row's own steps up to chunk row i add
+        # own_i start + sum_{l<=i} (own_i - own_l) coef_l x_l to the sum of its pre-update iterates
+        d_bar = sums.reshape(k_count, d)[mark_row]  # in place from here: a first chunk has many marks
+        d_bar += mark_step[:, None] * start.reshape(k_count, d)[mark_row]
+        d_bar += ahead
+        d_bar /= (before[mark_row] + mark_step)[:, None]
+        # (err_H, err_2, err_last_H), one row's checkpoints per call: einsum's rounding depends on
+        # how many rows it reduces (at d = 2, one or two round apart from three), so rows are not pooled
+        d_bar -= theta_star[mark_row // r_count]
+        d_last = np.subtract(last, theta_star[mark_row // r_count], out=last)
+        for k, j, n in zip(mark_row[first].tolist(), first.tolist(), np.diff(first, append=marks.size).tolist()):
+            out, h_k, part = errs[:, marks[j] : marks[j] + n], h[k // r_count], slice(j, j + n)
+            _einsum("md,de,me->m", d_bar[part], h_k, d_bar[part], out=out[0])
+            _einsum("md,md->m", d_bar[part], d_bar[part], out=out[1])
+            _einsum("md,de,me->m", d_last[part], h_k, d_last[part], out=out[2])
+        sums[rows_read > 0] += (taken[:, :, None] * start + moved)[rows_read > 0]
         min_r = np.minimum(min_r, np.where(active, np.abs(rb), math.inf).min(axis=0))
         done += taken
         if np.all(done == n_steps):
             break  # before the next chunk is drawn
-        del x, y, corrupted, xb, xs, marks  # not held while the next chunk is drawn
+        del x, y, corrupted, xb, xs, last, d_bar, d_last, ahead  # not held while the next chunk is drawn
 
     if np.any(done < n_steps):
         s, r = np.argwhere(done < n_steps)[0]
@@ -318,42 +344,22 @@ def run_batch(
             f"stream ended after {seen} samples with {loss_label(grid[s][r].loss)} at "
             f"{done[s, r]} of {n_steps[s, r]} steps"
         )
-    return [
-        [
-            RunRecord(
-                steps=row.plan, err_h=errs[s][r][0], err_2=errs[s][r][1], err_last_h=errs[s][r][2],
-                config_digest=row.digest, seed=int(row.seed), theta_bar=sums[s, r] / row.n_steps,
-                theta_last=theta[s, r].copy(), min_abs_residual=float(min_r[s, r]),
-                iterates=None if iterates is None else iterates[s][r],
-            )
-            for r, row in enumerate(stream)
-        ]
-        for s, stream in enumerate(grid)
+    check_errors(errs)  # every record's at once; each plan was checked when its Estimator was made
+    if paths is not None:  # each row's iterates at the stream rows it stepped on; a view when those came first
+        path, stepped = (np.concatenate(parts) if len(parts) > 1 else parts[0] for parts in zip(*paths))
+        prefix = len(stepped) - np.argmax(stepped[::-1], axis=0) == n_steps.reshape(k_count)
+        iterates = [path[:n, k] if p else path[stepped[:, k], k] for k, (n, p) in enumerate(zip(n_steps.flat, prefix))]
+    theta_bar = (sums / n_steps[:, :, None]).reshape(k_count, d)
+    theta_last, min_r = theta.reshape(k_count, d).copy(), min_r.reshape(k_count).tolist()
+    records = [
+        RunRecord.checked(
+            steps=row.plan, err_h=(err := errs[:, at[k] : at[k + 1]])[0], err_2=err[1], err_last_h=err[2],
+            config_digest=row.digest, seed=int(row.seed), theta_bar=theta_bar[k], theta_last=theta_last[k],
+            min_abs_residual=min_r[k], iterates=None if paths is None else iterates[k],
+        )
+        for k, row in enumerate(rows)
     ]
-
-
-def _averages(targets, at, own, coef, x, start, sums, done) -> np.ndarray:
-    """One row's averaged iterates at the checkpoints inside a chunk.
-
-    With theta_j = start + sum_{l<j} coef_l x_l, the row's own steps up to
-    chunk row i add own_i * start + sum_{l<=i} (own_i - own_l) coef_l x_l to
-    the running sum of its pre-update iterates. `targets` are the checkpoint
-    step counts relative to the chunk start and `at` their chunk rows.
-    """
-    bar = np.empty((targets.size, x.shape[1]))
-    for j, (t, i) in enumerate(zip(targets, at + 1)):
-        bar[j] = (sums + t * start + (coef[:i] * (t - own[:i])) @ x[:i]) / (done + t)
-    return bar
-
-
-def _errors(bar, last, theta_star, h) -> np.ndarray:
-    """(err_H, err_2, err_last_H) of iterates given row by row."""
-    d_bar, d_last = bar - theta_star, last - theta_star
-    return np.stack([
-        np.einsum("md,de,me->m", d_bar, h, d_bar),
-        np.einsum("md,md->m", d_bar, d_bar),
-        np.einsum("md,de,me->m", d_last, h, d_last),
-    ])
+    return [records[s * r_count : (s + 1) * r_count] for s in range(s_count)]
 
 
 def _raise_divergence(grid, residuals, theta, active, done) -> None:
@@ -431,7 +437,7 @@ def run(
     if isinstance(source, RegressionModel):
         if model is None:
             model = source
-        chunks = stacked_chunks([_chunk_arrays(source, seed)])
+        chunks = stacked_chunks([_chunk_arrays(source, seed, n_steps)])
     else:
         if model is None:
             raise ValueError("a reference model is required when running from stream arrays")

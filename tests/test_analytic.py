@@ -276,3 +276,11 @@ def test_dimension_mismatch_rejected(clean_model):
         expected_loss(np.zeros(2), clean_model)
     with pytest.raises(ValueError):
         gradient(np.zeros(5), clean_model)
+
+
+def test_a_theta_of_another_dimension_fails_before_broadcasting(clean_model):
+    # a one-entry theta would broadcast against the three-entry theta*
+    with pytest.raises(ValueError, match=r"theta of shape \(1,\) does not end in the model's dimension 3"):
+        expected_loss(np.array([0.5]), clean_model)
+    with pytest.raises(ValueError, match=r"theta of shape \(1,\) does not end in the model's dimension 3"):
+        gradient(np.array([0.5]), clean_model)

@@ -53,16 +53,13 @@ def test_parser_requires_subcommand(capsys):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+    assert main(["--version"]) == 0
     assert "streamrobust" in capsys.readouterr().out
 
 
-def test_missing_out_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["convergence"])
-    assert exc.value.code == 2
+def test_missing_out_is_usage_error(capsys):
+    assert main(["convergence"]) == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

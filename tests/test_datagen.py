@@ -3,8 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from streamrobust.core import Identity, L1, RegressionModel, StepSchedule, no_outliers, point_outliers, substream
-from streamrobust.datagen import CHUNK, array_chunks, sample_arrays, tiered_contamination
+from streamrobust.core import (
+    Explicit,
+    Identity,
+    L1,
+    OutlierDistribution,
+    PointMass,
+    RegressionModel,
+    Spectrum,
+    StepSchedule,
+    Uniform,
+    no_outliers,
+    point_outliers,
+    substream,
+)
+from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays, tiered_contamination
 from streamrobust.optimizer import run
 
 
@@ -123,6 +136,29 @@ def test_sample_arrays_fills_a_partial_last_chunk(point_model):
     assert np.array_equal(xs, xl[:n])
     assert np.array_equal(ys, yl[:n])
     assert np.array_equal(bs, bl[:n])
+
+
+DESIGNS = {
+    "identity": Identity(3),
+    "spectrum": Spectrum((1.0, 0.5, 0.25), basis_seed=11),
+    "explicit": Explicit(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])),
+}
+LAWS = {
+    "clean": no_outliers(),
+    "point": point_outliers(0.4, 30.0),
+    "mixture": OutlierDistribution(0.3, ((0.4, PointMass(5.0)), (0.6, Uniform(1.0, 10.0)))),
+}
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("design", DESIGNS)
+def test_a_stream_drawn_at_its_length_is_a_prefix_of_a_longer_one(design, law, n):
+    model = RegressionModel(np.array([-0.4, 1.1, 0.2]), DESIGNS[design], 1.3, LAWS[law])
+    assert sum(len(y) for _, y, _ in _chunk_arrays(model, 19, n)) == n
+    short, long = sample_arrays(model, n, seed=19), sample_arrays(model, 2 * CHUNK + 7, seed=19)
+    for a, b in zip(short, long):
+        assert np.array_equal(a, b[:n])
 
 
 def test_array_chunks_visit_rows_in_order(clean_model):

@@ -257,3 +257,12 @@ def test_l2_divergence_fails_loudly():
     model = RegressionModel(np.ones(10) / math.sqrt(10.0), Identity(10), 1.0, point_outliers(0.2, 1000.0))
     with pytest.raises(NonFiniteError, match=r"l2 with gamma0=50.0 diverged: non-finite iterate by step \d+"):
         run(model, L2(), StepSchedule(50.0), 2000, seed=1)
+
+
+def test_an_error_past_the_largest_double_fails_loudly(clean_model):
+    # L1 steps are gamma ||x|| long whatever the response, so the iterates stay
+    # finite while their squared distance to theta* overflows
+    rows = [[Estimator(L1(), StepSchedule(1e200), 50)], [Estimator(L1(), StepSchedule(0.2), 50)]]
+    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50), _chunk_arrays(clean_model, 2, 50)])
+    with pytest.raises(NonFiniteError, match="err_h contains a non-finite value"):
+        run_batch(rows, chunks, [clean_model] * 2)

@@ -154,6 +154,22 @@ def test_avg_iterate_bound_validation(clean_model):
         check_avg_iterate_bound(np.zeros(3), clean_model)
 
 
+@pytest.mark.parametrize("length", [1, 2, 30])
+@pytest.mark.parametrize("name, model", default_models(), ids=[name for name, _ in default_models()])
+def test_a_stack_of_sequences_reports_the_worst_single_margin(name, model, length):
+    seqs = random_iterate_sequences(model, 20, seed=7, length=length)
+    worst = min(check_avg_iterate_bound(seq, model).value for seq in seqs)
+    assert check_avg_iterate_bound(np.stack(seqs), model).value == worst
+
+
+def test_a_theta_of_another_dimension_is_rejected_by_the_checks(clean_model):
+    # a one-entry theta would broadcast against the three-entry theta*
+    with pytest.raises(ValueError, match=r"theta of shape \(1,\) does not end in the model's dimension 3"):
+        mc_expected_loss([0.5], clean_model, 1000, 1)
+    with pytest.raises(ValueError, match=r"theta of shape \(5, 1\) does not end in the model's dimension 3"):
+        check_avg_iterate_bound(np.zeros((5, 1)), clean_model)
+
+
 def test_scalar_inequalities_all_pass():
     results = check_scalar_inequalities()
     assert [r.name for r in results] == [
