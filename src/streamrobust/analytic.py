@@ -11,7 +11,7 @@ mean over the corruption law gives the population objective
 
 a smooth function of theta even though the pointwise loss is not. Expectations
 over point-mass components are exact; uniform components are integrated with
-fixed-order Gauss-Legendre quadrature, which converges geometrically here
+64-node Gauss-Legendre quadrature, which converges geometrically here
 because the integrands are entire.
 
 The derivative structure is what the optimizer relies on: the gradient is a
@@ -37,13 +37,9 @@ from .core import (
     OutlierDistribution,
     PointMass,
     RegressionModel,
-    Uniform,
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-_MIN_QUAD_ORDER = 16
-DEFAULT_QUAD_ORDER = 64
 
 _erf_objects = np.frompyfunc(math.erf, 1, 1)
 
@@ -54,32 +50,24 @@ def erf(x):
 
 
 @lru_cache(maxsize=None)
-def _leggauss(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _leggauss():
+    """Nodes and weights of the 64-node Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(64)
 
 
-def _check_order(order: int) -> int:
-    order = int(order)
-    if order < _MIN_QUAD_ORDER:
-        raise ValueError(f"quadrature order must be >= {_MIN_QUAD_ORDER}, got {order}")
-    return order
-
-
-def conditional_outlier_mean(dist: OutlierDistribution, fn, order: int = DEFAULT_QUAD_ORDER):
+def conditional_outlier_mean(dist: OutlierDistribution, fn):
     """E[fn(b) | b != 0].
 
     fn takes a 1-D array of corruption values and returns an array whose
     last axis runs over them; the mean reduces that axis, so a fn that
     broadcasts extra leading axes yields one mean per leading index.
     """
-    order = _check_order(order)
     total = 0.0
     for weight, comp in dist.components:
         if isinstance(comp, PointMass):
             total = total + weight * fn(np.array([comp.value]))[..., 0]
         else:
-            x, w = _leggauss(order)
+            x, w = _leggauss()
             nodes = 0.5 * (comp.hi + comp.lo) + 0.5 * (comp.hi - comp.lo) * x
             # mean over [lo, hi]: the interval length cancels the jacobian
             # an elementwise reduction, so each leading index sums its nodes the same way
@@ -87,23 +75,23 @@ def conditional_outlier_mean(dist: OutlierDistribution, fn, order: int = DEFAULT
     return total
 
 
-def full_outlier_mean(dist: OutlierDistribution, fn, order: int = DEFAULT_QUAD_ORDER):
+def full_outlier_mean(dist: OutlierDistribution, fn):
     """E[fn(b)] over the full law: mass 1 - eta at zero plus eta times the mixture."""
     clean = fn(np.zeros(1))[..., 0]
     if dist.eta == 0.0:
         return clean
-    return (1.0 - dist.eta) * clean + dist.eta * conditional_outlier_mean(dist, fn, order)
+    return (1.0 - dist.eta) * clean + dist.eta * conditional_outlier_mean(dist, fn)
 
 
-def outlier_gauss_moment(dist: OutlierDistribution, s: float, order: int = DEFAULT_QUAD_ORDER) -> float:
+def outlier_gauss_moment(dist: OutlierDistribution, s: float) -> float:
     """E[exp(-b^2 / (2 s^2)) | b != 0], a value in (0, 1]."""
     if not (s > 0):
         raise ValueError(f"scale s must be > 0, got {s}")
     inv = 0.5 / (s * s)
-    return float(conditional_outlier_mean(dist, lambda b: np.exp(-inv * b * b), order))
+    return float(conditional_outlier_mean(dist, lambda b: np.exp(-inv * b * b)))
 
 
-def effective_eta(dist: OutlierDistribution, sigma: float, order: int = DEFAULT_QUAD_ORDER) -> float:
+def effective_eta(dist: OutlierDistribution, sigma: float) -> float:
     """Effective corruption level eta * (1 - E[exp(-b^2/(2 sigma^2)) | b != 0]).
 
     Corruptions much smaller than sigma barely move the residual law, and this
@@ -114,7 +102,7 @@ def effective_eta(dist: OutlierDistribution, sigma: float, order: int = DEFAULT_
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if dist.eta == 0.0:
         return 0.0
-    return dist.eta * (1.0 - outlier_gauss_moment(dist, sigma, order))
+    return dist.eta * (1.0 - outlier_gauss_moment(dist, sigma))
 
 
 def theta_array(theta, model: RegressionModel) -> np.ndarray:
@@ -132,7 +120,7 @@ def pred_error_sigma(theta: np.ndarray, model: RegressionModel):
     return np.sqrt(np.maximum(np.sum(delta @ h * delta, axis=-1), 0.0))
 
 
-def expected_loss_radial(z, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
+def expected_loss_radial(z, model: RegressionModel):
     """Population loss as a function of the error scale z = sigma_theta alone.
 
     z may be a float or an array of scales; the result has the shape of z.
@@ -143,15 +131,15 @@ def expected_loss_radial(z, model: RegressionModel, order: int = DEFAULT_QUAD_OR
     def folded_mean(b):
         return SQRT_2_OVER_PI * s * np.exp(-b * b / (2.0 * s2)) + b * erf(b / (math.sqrt(2.0) * s))
 
-    return full_outlier_mean(model.outliers, folded_mean, order)
+    return full_outlier_mean(model.outliers, folded_mean)
 
 
-def expected_loss(theta: np.ndarray, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
+def expected_loss(theta: np.ndarray, model: RegressionModel):
     """Population value of E|y - <x, theta>| at one iterate (d,) or a stack (..., d)."""
-    return expected_loss_radial(pred_error_sigma(theta, model), model, order)
+    return expected_loss_radial(pred_error_sigma(theta, model), model)
 
 
-def gradient_scale(z, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
+def gradient_scale(z, model: RegressionModel):
     """Scalar multiplier in the gradient: grad F(theta) = gradient_scale(sigma_theta) H (theta - theta*).
 
     Equals sqrt(2/pi) (sigma^2 + z^2)^{-1/2} E[exp(-b^2/(2(sigma^2+z^2)))] over
@@ -162,20 +150,20 @@ def gradient_scale(z, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER):
         raise ValueError(f"error scale must be >= 0, got {np.min(z)}")
     s2 = model.sigma * model.sigma + np.square(z)
     s2_nodes = s2[..., None]
-    moment = full_outlier_mean(model.outliers, lambda b: np.exp(-b * b / (2.0 * s2_nodes)), order)
+    moment = full_outlier_mean(model.outliers, lambda b: np.exp(-b * b / (2.0 * s2_nodes)))
     return SQRT_2_OVER_PI * moment / np.sqrt(s2)
 
 
-def gradient(theta: np.ndarray, model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
+def gradient(theta: np.ndarray, model: RegressionModel) -> np.ndarray:
     """Gradient of the population loss at theta."""
     delta = theta_array(np.reshape(theta, -1), model) - model.theta_star
     h = model.design.h
     hdelta = h @ delta
     z = math.sqrt(max(float(delta @ hdelta), 0.0))
-    return gradient_scale(z, model, order) * hdelta
+    return gradient_scale(z, model) * hdelta
 
 
-def hessian_at_optimum(model: RegressionModel, order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
+def hessian_at_optimum(model: RegressionModel) -> np.ndarray:
     """Hessian of the population loss at theta*: sqrt(2/pi) (1 - effective_eta) / sigma * H."""
-    coeff = SQRT_2_OVER_PI * (1.0 - effective_eta(model.outliers, model.sigma, order)) / model.sigma
+    coeff = SQRT_2_OVER_PI * (1.0 - effective_eta(model.outliers, model.sigma)) / model.sigma
     return coeff * model.design.h

@@ -221,10 +221,6 @@ class Table:
             lines.append(",".join(repr(v) for v in row))
         return lines
 
-    def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
-
 
 def mean_run_record(records: Sequence[RunRecord]) -> RunRecord:
     """Average the error curves of runs sharing a checkpoint grid."""
@@ -414,9 +410,13 @@ class ExperimentResult:
     config_digest: str
 
 
+def config_lines(cfg) -> List[str]:
+    """The config's fields as sorted `key=value!r` lines, as its digest and the manifest list them."""
+    return [f"{key}={value!r}" for key, value in sorted(vars(cfg).items())]
+
+
 def _config_digest(cfg) -> str:
-    fields = [f"{k}={v!r}" for k, v in sorted(vars(cfg).items())]
-    return short_digest([type(cfg).__name__] + fields)
+    return short_digest([type(cfg).__name__] + config_lines(cfg))
 
 
 def convergence_experiment(config: ConvergenceConfig, jobs: int = 1) -> ExperimentResult:
@@ -557,7 +557,7 @@ def render_loglog_svg(title: str, curves: Mapping[str, Tuple[Sequence[float], Se
 
 
 def table_svg(table: Table) -> str:
-    """Render a convergence table's error columns against step count."""
+    """Render a table's positive columns against its first: errors against n, or against eta."""
     steps = [row[0] for row in table.rows]
     curves = {}
     for col in range(1, len(table.columns)):

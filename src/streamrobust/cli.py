@@ -2,9 +2,10 @@
 
 Subcommands map one-to-one onto the harness: `verify` runs the numerical
 check suite, `convergence` and `breakdown` run the experiments and write
-their tables plus a manifest into the output directory. Configuration is a
-flat INI file, one section per subcommand. Exit codes: 0 on success, 1 when
-a check fails or an estimator diverges, 2 for usage and configuration errors.
+their tables plus a manifest of the files the run wrote into the output
+directory. Configuration is a flat INI file, one section per subcommand.
+Exit codes: 0 on success, 1 when a check fails or an estimator diverges, 2
+for usage and configuration errors.
 
 Seed precedence, highest first: `--seed` flag, then the STREAMROBUST_SEED
 environment variable, then the config file, then the built-in default. All
@@ -30,15 +31,22 @@ from .bench import (
     ExperimentResult,
     breakdown_experiment,
     config_from_mapping,
+    config_lines,
     convergence_experiment,
-    render_loglog_svg,
     table_svg,
 )
 from .core import SEED_MAX, NonFiniteError
 from .verify import DEFAULT_SUITE_SEED, CHECK_GROUPS, report_lines, run_suite, suite_passed
 
 ENV_SEED = "STREAMROBUST_SEED"
-CONFIG_SECTIONS = ("convergence", "breakdown")
+
+# command -> (config class, experiment, file name prefix of its tables). The
+# experiment is named, not held, so the function bound to that name in this
+# module when the command runs is the one called.
+EXPERIMENTS = {
+    "convergence": (ConvergenceConfig, "convergence_experiment", "convergence_"),
+    "breakdown": (BreakdownConfig, "breakdown_experiment", ""),
+}
 
 
 def _fail_usage(message: str) -> int:
@@ -82,9 +90,9 @@ def _read_config_section(path: Optional[str], section: str) -> Dict[str, str]:
     except configparser.Error as exc:
         raise SystemExit(_fail_usage(f"malformed config {path!r}: {exc}"))
     found = parser.sections()
-    if section not in found or any(name not in CONFIG_SECTIONS for name in found):
+    if section not in found or any(name not in EXPERIMENTS for name in found):
         raise SystemExit(_fail_usage(
-            f"config {path!r} must have a [{section}] section and no other than {list(CONFIG_SECTIONS)}; found {found}"))
+            f"config {path!r} must have a [{section}] section and no other than {list(EXPERIMENTS)}; found {found}"))
     return dict(parser.items(section))
 
 
@@ -97,34 +105,21 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def _write_manifest(out_dir: Path, experiment: str, result: ExperimentResult, seed: int, config_lines: List[str]) -> None:
+def _write_manifest(out_dir: Path, experiment: str, result: ExperimentResult, cfg, files: List[str]) -> None:
+    """manifest.csv: the config, the cell seeds and a digest of each of `files`, the files this run wrote."""
     lines = [
         f"# streamrobust {__version__}",
         f"# experiment={experiment}",
         f"# config={result.config_digest}",
-        f"# seed={seed}",
+        f"# seed={cfg.seed}",
     ]
-    lines.extend(f"# cfg {line}" for line in config_lines)
+    lines.extend(f"# cfg {line}" for line in config_lines(cfg))
     lines.append("kind,name,value")
     for label, cell_seed in result.cell_seeds:
         lines.append(f"cell,{label},{cell_seed}")
-    for name in sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.csv"):
+    for name in sorted(files):
         lines.append(f"file,{name},{_file_digest(out_dir / name)}")
     _write_lines(out_dir / "manifest.csv", lines)
-
-
-def _config_lines(cfg) -> List[str]:
-    return [f"{key}={value!r}" for key, value in sorted(vars(cfg).items())]
-
-
-def _run_experiment(experiment, cfg, jobs: int) -> ExperimentResult:
-    """Run an experiment; a valid config whose data leave a cell nothing to run on is a usage error."""
-    try:
-        return experiment(cfg, jobs=jobs)
-    except NonFiniteError:  # a ValueError too, but a failed run: main exits 1
-        raise
-    except ValueError as exc:
-        raise SystemExit(_fail_usage(str(exc)))
 
 
 def _prepare_out_dir(raw: str) -> Path:
@@ -160,50 +155,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def cmd_convergence(args: argparse.Namespace) -> int:
-    mapping = _read_config_section(args.config, "convergence")
-    cfg, errors = config_from_mapping(ConvergenceConfig, mapping)
+def cmd_experiment(args: argparse.Namespace) -> int:
+    config_class, experiment, prefix = EXPERIMENTS[args.command]
+    cfg, errors = config_from_mapping(config_class, _read_config_section(args.config, args.command))
     if errors:
         for err in errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    assert isinstance(cfg, ConvergenceConfig)
-    cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed, cfg.seed))
-    out = _prepare_out_dir(args.out)
-
-    result = _run_experiment(convergence_experiment, cfg, args.jobs or os.cpu_count() or 1)
-    for table in result.tables:
-        stem = f"convergence_{table.name.replace('@', '_')}"
-        table.save(out / f"{stem}.csv")
-        if args.svg:
-            _write_lines(out / f"{stem}.svg", [table_svg(table)])
-    _write_manifest(out, "convergence", result, cfg.seed, _config_lines(cfg))
-    return 0
-
-
-def cmd_breakdown(args: argparse.Namespace) -> int:
-    mapping = _read_config_section(args.config, "breakdown")
-    cfg, errors = config_from_mapping(BreakdownConfig, mapping)
-    if errors:
-        for err in errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 2
-    assert isinstance(cfg, BreakdownConfig)
-    if args.svg and cfg.eta_grid[0] == 0.0:
+    if args.svg and 0.0 in getattr(cfg, "eta_grid", ()):
         return _fail_usage("--svg draws eta on a log axis, so eta_grid must not contain 0.0")
     cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed, cfg.seed))
     out = _prepare_out_dir(args.out)
 
-    result = _run_experiment(breakdown_experiment, cfg, args.jobs or os.cpu_count() or 1)
-    (table,) = result.tables
-    table.save(out / "breakdown.csv")
-    if args.svg:
-        curves = {}
-        etas = [row[0] for row in table.rows]
-        for col in range(1, len(table.columns)):
-            curves[table.columns[col]] = (etas, [row[col] for row in table.rows])
-        _write_lines(out / "breakdown.svg", [render_loglog_svg("breakdown", curves)])
-    _write_manifest(out, "breakdown", result, cfg.seed, _config_lines(cfg))
+    try:
+        result = globals()[experiment](cfg, jobs=args.jobs or os.cpu_count() or 1)
+    except NonFiniteError:  # a ValueError too, but a failed run: main exits 1
+        raise
+    except ValueError as exc:  # a valid config whose data leave a cell nothing to run on
+        return _fail_usage(str(exc))
+    written = {}  # file name -> lines
+    for table in result.tables:
+        stem = prefix + table.name.replace("@", "_")
+        written[f"{stem}.csv"] = table.to_lines()
+        if args.svg:
+            written[f"{stem}.svg"] = [table_svg(table)]
+    for name, lines in written.items():
+        _write_lines(out / name, lines)
+    _write_manifest(out, args.command, result, cfg, list(written))
     return 0
 
 
@@ -216,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = (
         ("verify", "run the numerical verification suite", cmd_verify),
-        ("convergence", "convergence-rate experiment", cmd_convergence),
-        ("breakdown", "breakdown sweep over corruption levels", cmd_breakdown),
+        ("convergence", "convergence-rate experiment", cmd_experiment),
+        ("breakdown", "breakdown sweep over corruption levels", cmd_experiment),
     )
     for name, help_text, func in commands:
         p = sub.add_parser(name, help=help_text)

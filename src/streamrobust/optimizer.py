@@ -70,17 +70,21 @@ def default_gamma0(model: RegressionModel) -> float:
     return 1.0 / model.design.r2
 
 
-def default_checkpoints(n_steps: int, ratio: float = 1.25) -> np.ndarray:
-    """Geometric checkpoint grid within [1, n_steps], always ending at n_steps."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if ratio <= 1.0:
-        raise ValueError(f"checkpoint ratio must be > 1, got {ratio}")
+def _step_count(n_steps) -> int:
+    """n_steps as an int; a ValueError naming it unless it is a whole number >= 1."""
+    if not (isinstance(n_steps, (int, float, np.integer, np.floating)) and float(n_steps).is_integer() and n_steps >= 1):
+        raise ValueError(f"n_steps must be a whole number >= 1, got {n_steps!r}")
+    return int(n_steps)
+
+
+def default_checkpoints(n_steps: int) -> np.ndarray:
+    """Geometric checkpoint grid of ratio 1.25 within [1, n_steps], always ending at n_steps."""
+    n_steps = _step_count(n_steps)
     marks = set()
     v = 1.0
     while v <= n_steps:
         marks.add(int(math.ceil(v)))
-        v *= ratio
+        v *= 1.25
     marks.add(n_steps)
     return np.array(sorted(marks), dtype=np.int64)
 
@@ -88,7 +92,10 @@ def default_checkpoints(n_steps: int, ratio: float = 1.25) -> np.ndarray:
 def _validated_checkpoints(checkpoint_plan, n_steps: int) -> np.ndarray:
     if checkpoint_plan is None:
         return default_checkpoints(n_steps)
-    plan = np.asarray(checkpoint_plan, dtype=np.int64)
+    raw = np.asarray(checkpoint_plan)
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf" or not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+        raise ValueError(f"checkpoint plan must be a 1-D sequence of whole numbers, got {checkpoint_plan!r}")
+    plan = raw.astype(np.int64)
     if plan.size == 0:
         raise ValueError("checkpoint plan is empty")
     if np.any(np.diff(plan) <= 0):
@@ -122,8 +129,7 @@ class Estimator:
     plan: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _step_count(self.n_steps)
         if not isinstance(self.loss, (L1, L2, Huber)):
             raise TypeError(f"not a loss: {self.loss!r}")
         object.__setattr__(self, "plan", _validated_checkpoints(self.checkpoint_plan, self.n_steps))
@@ -432,8 +438,7 @@ def run(
     measured. Deterministic: identical arguments produce a bit-identical
     record.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = _step_count(n_steps)
     if isinstance(source, RegressionModel):
         if model is None:
             model = source
@@ -456,38 +461,24 @@ def run(
     return record
 
 
-def oracle_ls_run(
-    stream: Sequence[np.ndarray],
-    gamma0: float,
-    n_steps: Optional[int] = None,
-    *,
-    model: RegressionModel,
-    checkpoint_plan=None,
-    theta0=None,
-) -> RunRecord:
-    """Clean-data baseline: constant-step averaged squared-loss SGD.
+def oracle_ls_run(stream: Sequence[np.ndarray], gamma0: float, *, model: RegressionModel) -> RunRecord:
+    """Clean-data baseline: constant-step averaged squared-loss SGD from 0.
 
     `stream` is an (X, y, corrupted) triple. Every row flagged as corrupted
     is dropped before it reaches the estimator; this is the one consumer
-    allowed to read the flags. With n_steps omitted, all clean rows are
-    consumed. (Within a cell, the engine instead masks the oracle row off on
-    the corrupted rows.)
+    allowed to read the flags. Every clean row is consumed, with the
+    geometric checkpoints. (Within a cell, the engine instead masks the
+    oracle row off on the corrupted rows.)
     """
     x, y, corrupted = _stream_arrays(stream)
     clean = ~corrupted
     n_clean = int(np.count_nonzero(clean))
     if n_clean == 0:
         raise ValueError(f"all {y.size} samples are corrupted, nothing to run on")
-    if n_steps is None:
-        n_steps = n_clean
-    elif n_clean < n_steps:
-        raise ValueError(
-            f"only {n_clean} clean samples among {y.size}, {n_steps} steps requested"
-        )
     row = Estimator(
-        L2(), StepSchedule(gamma0, CONSTANT), n_steps, checkpoint_plan,
-        digest=oracle_digest(gamma0, n_steps, y.size, n_clean, model),
+        L2(), StepSchedule(gamma0, CONSTANT), n_clean,
+        digest=oracle_digest(gamma0, n_clean, y.size, n_clean, model),
     )
     chunks = array_chunks(x[clean, None], y[clean, None], corrupted[clean, None])
-    ((record,),) = run_batch([[row]], chunks, [model], theta0)
+    ((record,),) = run_batch([[row]], chunks, [model])
     return record

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -125,19 +125,17 @@ def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int) -
     return mean, math.sqrt(var / n_samples)
 
 
-def fd_gradient(theta, model: RegressionModel, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the closed-form loss, one coordinate at a time."""
-    if not (h > 0):
-        raise ValueError(f"step h must be > 0, got {h}")
+def fd_gradient(theta, model: RegressionModel) -> np.ndarray:
+    """Central finite differences of the closed-form loss, one coordinate at a time, step 1e-5."""
+    h = 1e-5
     theta = np.asarray(theta, dtype=float).reshape(-1)
     steps = h * np.eye(theta.size)
     return (expected_loss(theta + steps, model) - expected_loss(theta - steps, model)) / (2.0 * h)
 
 
-def fd_hessian_at_optimum(model: RegressionModel, h: float = 1e-4) -> np.ndarray:
-    """Central second differences of the closed-form loss at theta*."""
-    if not (h > 0):
-        raise ValueError(f"step h must be > 0, got {h}")
+def fd_hessian_at_optimum(model: RegressionModel) -> np.ndarray:
+    """Central second differences of the closed-form loss at theta*, step 1e-4."""
+    h = 1e-4
     theta = model.theta_star
     steps = h * np.eye(model.d)
     f0 = expected_loss(theta, model)
@@ -156,19 +154,15 @@ def fd_hessian_at_optimum(model: RegressionModel, h: float = 1e-4) -> np.ndarray
 # inequality checkers
 
 
-def check_scale_drift(model: RegressionModel, z_grid=None) -> CheckResult:
+def check_scale_drift(model: RegressionModel) -> CheckResult:
     """Relative drift of the gradient multiplier.
 
-    |scale(z) - scale(0)| <= 20 ln(2/(1-eta)) (z/sigma) scale(z) on the grid.
-    This is the self-concordance style control that makes the averaged
-    iterate analysis work, so it gets its own tight tolerance.
+    |scale(z) - scale(0)| <= 20 ln(2/(1-eta)) (z/sigma) scale(z) on a grid of
+    z from 0 to 1e6 sigma. This is the self-concordance style control that
+    makes the averaged iterate analysis work, so it gets its own tight tolerance.
     """
     sigma = model.sigma
-    if z_grid is None:
-        z_grid = np.concatenate([[0.0], np.logspace(-6.0, 6.0, 241) * sigma])
-    z_grid = np.asarray(z_grid, dtype=float)
-    if np.any(z_grid < 0) or np.any(z_grid > 1e6 * sigma):
-        raise ValueError("z grid must lie within [0, 1e6 sigma]")
+    z_grid = np.concatenate([[0.0], np.logspace(-6.0, 6.0, 241) * sigma])
     eta = model.outliers.eta
     factor = 20.0 * math.log(2.0 / (1.0 - eta))
     a0 = gradient_scale(0.0, model)
@@ -178,29 +172,22 @@ def check_scale_drift(model: RegressionModel, z_grid=None) -> CheckResult:
     return margin_result("scale_drift", margins[k], SCALE_DRIFT_TOL, detail=f"worst z={float(z_grid[k])!r}")
 
 
-def _link_direction(model: RegressionModel) -> np.ndarray:
-    # unit H-norm direction along the first coordinate
-    h00 = model.design.h[0, 0]
-    v = np.zeros(model.d)
-    v[0] = 1.0 / math.sqrt(h00)
-    return v
-
-
-def check_error_loss_link(model: RegressionModel, theta_grid=None) -> List[CheckResult]:
+def check_error_loss_link(model: RegressionModel) -> List[CheckResult]:
     """Excess loss controls the error scale, in both regimes.
 
     With df = F(theta) - F(theta*) and et the effective corruption level:
     sigma_theta^2 <= 10 df^2 / (1-et)^2 whenever sigma_theta >= sigma, and
     sigma_theta^2 <= 4 sigma df / (1-et) whenever sigma_theta <= sigma. Their
-    sum bounds sigma_theta^2 everywhere, which is also checked.
+    sum bounds sigma_theta^2 everywhere, which is also checked, on iterates
+    from 1e-3 sigma to 1e3 sigma away from theta* along the first coordinate.
     """
     sigma = model.sigma
-    if theta_grid is None:
-        v = _link_direction(model)
-        theta_grid = model.theta_star + (np.logspace(-3.0, 3.0, 121) * sigma)[:, None] * v
+    v = np.zeros(model.d)  # unit H-norm direction along the first coordinate
+    v[0] = 1.0 / math.sqrt(model.design.h[0, 0])
+    theta_grid = model.theta_star + (np.logspace(-3.0, 3.0, 121) * sigma)[:, None] * v
     et = effective_eta(model.outliers, sigma)
     f_star = expected_loss_radial(0.0, model)
-    z = pred_error_sigma(np.asarray(theta_grid, dtype=float), model)
+    z = pred_error_sigma(theta_grid, model)
     df = expected_loss_radial(z, model) - f_star
     quad_side = 10.0 * df * df / (1.0 - et) ** 2
     lin_side = 4.0 * sigma * df / (1.0 - et)
@@ -303,14 +290,12 @@ def check_moment_bounds(
     n: int,
     replications: int,
     seed: int,
-    theta0=None,
 ) -> List[CheckResult]:
     """Monte Carlo check of the iterate moment bounds for the absolute loss.
 
     With gamma_t = gamma0 / sqrt(t) and R2 = trace(H), the squared distance
-    to theta* after k steps is bounded in expectation by
-    ||theta_0 - theta*||^2 + gamma0^2 R2 ln(e k), with a fourth-moment
-    analogue. Replication r consumes the stream seeded by (seed, "rep", r).
+    to theta* after k steps from theta_0 = 0 is bounded in expectation by
+    ||theta*||^2 + gamma0^2 R2 ln(e k), with a fourth-moment analogue. Replication r consumes the stream seeded by (seed, "rep", r).
     Reported values are the worst z-scores across checkpoints.
     """
     if replications < 100:
@@ -321,21 +306,20 @@ def check_moment_bounds(
     from .optimizer import Estimator, default_checkpoints, run_batch
 
     theta_star = model.theta_star
-    theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
     # short streams, drawn one after another and stepped together as (n, replications, d)
     x, y = np.empty((n, replications, model.d)), np.empty((n, replications))
     for r in range(replications):
         x[:, r], y[:, r], _ = sample_arrays(model, n, derive_seed(seed, "rep", r))
     row = Estimator(L1(), schedule, n, checkpoint_plan=[n])
     flags = np.zeros(y.shape, dtype=bool)  # an L1 row reads every row, corrupted or not
-    records = run_batch([[row]] * replications, array_chunks(x, y, flags), [model] * replications, theta0, True)
+    records = run_batch([[row]] * replications, array_chunks(x, y, flags), [model] * replications, record_iterates=True)
     iterates = np.stack([rec.iterates for (rec,) in records])
     last = np.stack([rec.theta_last for (rec,) in records])
 
     checkpoints = default_checkpoints(n)
     gamma0 = schedule.gamma0
     r2 = model.design.r2
-    dist0sq = float(np.sum((theta0 - theta_star) ** 2))
+    dist0sq = float(np.sum(theta_star**2))
 
     worst_z2 = -math.inf
     worst_z4 = -math.inf
@@ -467,7 +451,7 @@ def run_suite(seed: int = DEFAULT_SUITE_SEED, only: Optional[str] = None) -> Lis
             for _ in range(10):
                 theta = model.theta_star + rng.uniform(-2.0, 2.0, model.d)
                 g = gradient(theta, model)
-                g_fd = fd_gradient(theta, model, 1e-5)
+                g_fd = fd_gradient(theta, model)
                 denom = max(float(np.linalg.norm(g)), 1e-12)
                 worst_rel = max(worst_rel, float(np.linalg.norm(g - g_fd)) / denom)
         results.append(margin_result("gradient_fd", 1e-5 - worst_rel, 0.0, detail=f"rel={worst_rel!r}"))
@@ -475,7 +459,7 @@ def run_suite(seed: int = DEFAULT_SUITE_SEED, only: Optional[str] = None) -> Lis
     if wanted("hessian_fd"):
         for name, model in models:
             closed = hessian_at_optimum(model)
-            fd = fd_hessian_at_optimum(model, 1e-4)
+            fd = fd_hessian_at_optimum(model)
             rel = float(np.linalg.norm(fd - closed) / np.linalg.norm(closed))
             results.append(margin_result(f"hessian_fd[{name}]", 1e-3 - rel, 0.0, detail=f"rel={rel!r}"))
 

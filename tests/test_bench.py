@@ -143,13 +143,9 @@ def test_breakdown_config_grid_errors():
 # tables and aggregation
 
 
-def test_table_lines_and_save(tmp_path):
+def test_table_lines():
     t = Table("demo", ("n", "err"), ((1, 0.5), (10, 0.25)), ("note a", "note b"))
-    lines = t.to_lines()
-    assert lines == ["# note a", "# note b", "n,err", "1,0.5", "10,0.25"]
-    path = tmp_path / "demo.csv"
-    t.save(path)
-    assert path.read_text() == "\n".join(lines) + "\n"
+    assert t.to_lines() == ["# note a", "# note b", "n,err", "1,0.5", "10,0.25"]
 
 
 def test_table_rejects_ragged_rows():

@@ -295,6 +295,19 @@ def test_breakdown_end_to_end(tmp_path):
     assert (out_dir / "breakdown.svg").exists()
 
 
+def test_manifest_lists_only_the_files_the_run_wrote(tmp_path):
+    cfg = _write_config(tmp_path, TINY_CONV + TINY_BREAK)
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    assert main(["convergence", "--config", cfg, "--out", str(stale), "--svg"]) == 0
+    (stale / "notes.txt").write_text("not made by a run\n")
+    (stale / "sub").mkdir()
+    for out in (fresh, stale):
+        assert main(["breakdown", "--config", cfg, "--seed", "5", "--out", str(out), "--svg"]) == 0
+    manifest = (stale / "manifest.csv").read_text()
+    assert manifest == (fresh / "manifest.csv").read_text()
+    assert [l.split(",")[1] for l in manifest.splitlines() if l.startswith("file,")] == ["breakdown.csv", "breakdown.svg"]
+
+
 def test_breakdown_empty_grid_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, "[breakdown]\neta_grid =\n")
     assert main(["breakdown", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -107,8 +107,6 @@ def test_default_checkpoints_small_and_invalid():
     assert list(default_checkpoints(1)) == [1]
     with pytest.raises(ValueError):
         default_checkpoints(0)
-    with pytest.raises(ValueError):
-        default_checkpoints(10, ratio=1.0)
 
 
 def test_default_gamma0(spectrum_model):
@@ -146,6 +144,21 @@ def test_run_custom_checkpoints_and_validation(clean_model):
         run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[10, 101], seed=1)
     with pytest.raises(ValueError, match="empty"):
         run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[], seed=1)
+
+
+@pytest.mark.parametrize(
+    ("n_steps", "plan", "message"),
+    [
+        # not truncated to [10, 50, 99]
+        (100, [10.7, 50.2, 99.9], r"whole numbers, got \[10.7, 50.2, 99.9\]"),
+        (100, [[10, 50], [60, 100]], r"1-D .* got \[\[10, 50\], \[60, 100\]\]"),
+        (100.5, None, "whole number >= 1, got 100.5"),
+    ],
+    ids=["fractional_plan", "2d_plan", "fractional_n_steps"],
+)
+def test_run_names_a_plan_or_step_count_that_is_not_whole(clean_model, n_steps, plan, message):
+    with pytest.raises(ValueError, match=message):
+        run(clean_model, L1(), StepSchedule(0.3), n_steps, checkpoint_plan=plan, seed=1)
 
 
 def test_run_exhausted_stream_raises(clean_model):
@@ -237,11 +250,9 @@ def test_oracle_converges(point_model):
 
 def test_oracle_error_cases():
     model = RegressionModel(np.zeros(2), Identity(2), 1.0, point_outliers(0.5, 10.0))
-    x, y, b = sample_arrays(model, 100, seed=1)
+    x, y, _ = sample_arrays(model, 100, seed=1)
     with pytest.raises(ValueError, match="all 100 samples are corrupted"):
         oracle_ls_run((x, y, np.ones(100, dtype=bool)), 0.05, model=model)
-    with pytest.raises(ValueError, match="clean samples among"):
-        oracle_ls_run((x, y, b), 0.05, n_steps=100, model=model)
 
 
 def test_oracle_vs_contaminated_l2(point_model):

@@ -94,8 +94,6 @@ def test_fd_gradient_matches_closed_form(spectrum_model):
     g = gradient(theta, spectrum_model)
     g_fd = fd_gradient(theta, spectrum_model)
     assert np.linalg.norm(g - g_fd) < 1e-5 * np.linalg.norm(g)
-    with pytest.raises(ValueError):
-        fd_gradient(theta, spectrum_model, h=0.0)
 
 
 def test_fd_hessian_matches_closed_form(mixture_model):
@@ -112,13 +110,6 @@ def test_scale_drift_passes_on_default_grid(point_model):
     res = check_scale_drift(point_model)
     assert res.status == "pass"
     assert res.kind == "margin"
-
-
-def test_scale_drift_rejects_bad_grid(point_model):
-    with pytest.raises(ValueError, match="grid"):
-        check_scale_drift(point_model, z_grid=[-1.0])
-    with pytest.raises(ValueError, match="grid"):
-        check_scale_drift(point_model, z_grid=[1e9])
 
 
 def test_error_loss_link_margins(mixture_model):
