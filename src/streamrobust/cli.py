@@ -136,14 +136,11 @@ def _prepare_out_dir(raw: str) -> Path:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.only is not None and args.only not in CHECK_GROUPS:
+        return _fail_usage(f"unknown check {args.only!r}; available: {', '.join(CHECK_GROUPS)}")
     seed = _resolve_seed(args.seed, None, DEFAULT_SUITE_SEED)
     out = None if args.out is None else _prepare_out_dir(args.out)
-    try:
-        results = run_suite(seed=seed, only=args.only)
-    except KeyError:
-        return _fail_usage(
-            f"unknown check {args.only!r}; available: {', '.join(CHECK_GROUPS)}"
-        )
+    results = run_suite(seed=seed, only=args.only)
     passed = suite_passed(results)
     lines = [f"# streamrobust {__version__}", f"# seed={seed}"]
     lines.extend(report_lines(results))

@@ -17,10 +17,15 @@ influence function,
     psi(r) = clip(r * s, -lo, lo):  L1 s = inf, lo = 1;  L2 lo = inf;  Huber lo = tau,
 
 and the per-row loop keeps only the dependent chain (residual, influence,
-rank-one update), pausing at checkpoint rows to read the iterates. The
-averaged iterate and min |r| are closed forms evaluated once per chunk from
-that chunk's coefficients. The tests hold a one-observation scalar reference
-that the engine is checked against, bit for bit on the trajectory.
+rank-one update), pausing at checkpoint rows to read the iterates. The chain
+is six numpy calls per stream row on same-shape (S, R) operands: the
+responses are laid out across the R estimators beforehand, so nothing
+broadcasts them, and the residual's dot products come from `np.vecdot`,
+which makes one unit-stride BLAS ddot per (stream, estimator) pair, as the
+scalar `x @ theta` does, and so matches it bit for bit. The averaged iterate
+and min |r| are closed forms evaluated once per chunk from that chunk's
+coefficients. The tests hold a one-observation scalar reference that the
+engine is checked against, bit for bit on the trajectory.
 
 A stream is a triple of arrays (X, y, corrupted), as `datagen` draws it;
 `run` and `oracle_ls_run` drive the engine for one estimator, on a model
@@ -34,14 +39,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
-from numpy import add, matmul, multiply, subtract
+from numpy import add, multiply, subtract, vecdot
 
-try:  # bare: np.clip's argument checks cost more than the clip, and np.einsum wraps c_einsum
-    from numpy._core.multiarray import c_einsum as _einsum
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as _einsum
-    from numpy.core.umath import clip as _clip
+# bare: np.clip's argument checks cost more than the clip, and np.einsum wraps c_einsum
+from numpy._core.multiarray import c_einsum as _einsum
+from numpy._core.umath import clip as _clip
 
 from .core import (
     CONSTANT,
@@ -136,19 +138,23 @@ class Estimator:
 
 
 # The loop refills its buffers once per window of stream rows, and each window
-# row holds six small array views: windows of at most 256 rows and about this
-# many (row, estimator) cells keep the buffers and views under 1 MB.
+# row holds seven views, about 1 kB: an (S, R) view of each of the six
+# (rows, S, R) buffers and an (S, R, 1) view of c. Windows of at most 256 rows
+# and about this many (row, estimator) cells keep the buffers near 200 kB
+# while S R <= 256, and the views under 270 kB.
 _WINDOW_CELLS = 4096
-_ROW_BUFFERS = ("r", "scale", "neg_lo", "lo", "c")
+_ROW_BUFFERS = ("y", "r", "scale", "neg_lo", "lo", "c")
 
 
 def _window_views(s_count: int, r_count: int):
-    """Window buffers and, per stream row, a (S, 1, 1, 1) response view and (S, R, 1, 1) views."""
+    """Window buffers and, per stream row, (S, R) views of each and an (S, R, 1) view of c.
+
+    The responses fill all R columns of their buffer, so the residual's
+    subtract sees two operands of one shape and broadcasts nothing.
+    """
     rows = min(256, max(16, _WINDOW_CELLS // (s_count * r_count)))
     buf = {name: np.empty((rows, s_count, r_count)) for name in _ROW_BUFFERS}
-    buf["y"] = np.empty((rows, s_count, 1))
-    names = ("y",) + _ROW_BUFFERS
-    steps = list(zip(*(buf[name][:, :, :, None, None] for name in names)))
+    steps = list(zip(*(buf[name] for name in _ROW_BUFFERS), buf["c"][:, :, :, None]))
     return buf, steps
 
 
@@ -157,26 +163,27 @@ def _advance(theta, x, y, scale, lo, r_out, c_out, window, tmp) -> None:
 
     Row i takes c = clip((y_si - x_si . theta_sr) * scale_isr, -lo_isr, lo_isr)
     and steps theta_sr += c x_si; residuals and coefficients go to r_out and
-    c_out. A stream's features are read as (S, 1, 1, d) against theta seen as
-    (S, R, d, 1) and (S, R, 1, d): the stacked (1, d) @ (d, 1) products give
-    each estimator's dot product bit for bit as `x @ theta_sr`, which a
-    (R, d) @ (d,) product does not.
+    c_out. Each row is six numpy calls on (S, R) operands, with theta (S, R, d)
+    updated through tmp (S, R, d). The residual's dot product is
+    vecdot(x_si (S, 1, d), theta (S, R, d)): like `x @ theta_sr`, it makes one
+    unit-stride ddot per (stream, estimator) pair, so it gives each estimator's
+    dot product bit for bit as the scalar `x @ theta_sr`, which a (R, d) @ (d,)
+    product does not.
     """
     buf, steps = window
-    theta_col, theta_row = theta[:, :, :, None], theta[:, :, None, :]
     for a in range(0, len(y), len(steps)):
         n = min(len(steps), len(y) - a)
-        buf["y"][:n, :, 0] = y[a : a + n]
+        buf["y"][:n] = y[a : a + n, :, None]
         buf["scale"][:n] = scale[a : a + n]
         buf["lo"][:n] = lo[a : a + n]
         np.negative(lo[a : a + n], out=buf["neg_lo"][:n])
-        for x_i, (y_i, r, s, neg_lo, hi, c) in zip(x[a : a + n, :, None, None, :], steps):
-            matmul(x_i, theta_col, out=r)
+        for x_i, (y_i, r, s, neg_lo, hi, c, c_col) in zip(x[a : a + n, :, None, :], steps):
+            vecdot(x_i, theta, out=r)
             subtract(y_i, r, out=r)
             multiply(r, s, out=c)
             _clip(c, neg_lo, hi, out=c)
-            multiply(c, x_i, out=tmp)
-            add(theta_row, tmp, out=theta_row)
+            multiply(c_col, x_i, out=tmp)
+            add(theta, tmp, out=theta)
         r_out[a : a + n] = buf["r"][:n]
         c_out[a : a + n] = buf["c"][:n]
 
@@ -233,7 +240,7 @@ def run_batch(
     paths = [] if record_iterates else None  # per chunk: the iterates before each row, and who stepped
 
     theta = np.tile(theta0, (s_count, r_count, 1))
-    tmp = np.empty((s_count, r_count, 1, d))
+    tmp = np.empty_like(theta)
     sums = np.zeros_like(theta)  # per row: sum of its pre-update iterates so far
     done = np.zeros((s_count, r_count), dtype=np.int64)
     min_r = np.full((s_count, r_count), math.inf)

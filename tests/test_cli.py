@@ -114,6 +114,20 @@ def test_verify_unknown_check(capsys):
     assert "scalar_inequalities" in err  # the listing helps the user
 
 
+def test_verify_a_key_error_inside_a_check_is_not_an_unknown_check(tmp_path, monkeypatch, capsys):
+    from streamrobust import verify
+
+    def broken():
+        raise KeyError("sigma")
+
+    monkeypatch.setattr(verify, "check_scalar_inequalities", broken)
+    with pytest.raises(KeyError, match="sigma"):
+        main(["verify", "--only", "scalar_inequalities"])
+    with pytest.raises(KeyError, match="sigma"):
+        main(["verify", "--out", str(tmp_path / "report")])
+    assert "unknown check" not in capsys.readouterr().err
+
+
 def test_verify_report_file(tmp_path, capsys):
     out_dir = tmp_path / "report"
     assert main(["verify", "--only", "scale_drift", "--out", str(out_dir)]) == 0

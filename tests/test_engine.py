@@ -18,6 +18,7 @@ from streamrobust.core import (
     RegressionModel,
     Spectrum,
     StepSchedule,
+    loss_label,
     no_outliers,
     point_outliers,
 )
@@ -129,6 +130,30 @@ def test_engine_rows_match_separate_reference_loops(config):
             assert _same_vector(rec.theta_bar, state.theta_bar)
             # the trajectory itself is the same arithmetic, step for step
             assert np.array_equal(rec.theta_last, state.theta)
+            assert rec.min_abs_residual == min_r
+
+
+@pytest.mark.parametrize("d", [7, 10, 17, 33, 100])
+def test_engine_trajectories_match_the_reference_at_wide_dimensions(d):
+    # BLAS ddot changes its unrolling above the d of `engine_configs`; the benchmark runs at d = 10 and 100
+    n, rng = CHUNK + 76, np.random.default_rng(d)
+    models = [_model(d, rng.standard_normal(d), False), _model(d, rng.standard_normal(d), True)]
+    wide = Spectrum(tuple(np.geomspace(1.0, 0.01, d)), basis_seed=d + 1)
+    models.append(RegressionModel(rng.standard_normal(d), wide, 1.0, no_outliers()))
+    schedules = [StepSchedule(0.2 / d), StepSchedule(0.1 / d, CONSTANT)]
+    losses = [L1(), L2(), Huber(0.7), L1(), Huber(3.0)]
+    rows = [Estimator(loss, schedules[k % 2], n) for k, loss in enumerate(losses)]
+    arrays = []
+    for s, model in enumerate(models):
+        x, y, _ = sample_arrays(model, n, seed=10 * d + s)
+        corrupted = rng.random(n) < 0.2
+        arrays.append((x, np.where(corrupted, y + 50.0, y), corrupted))
+    theta0 = rng.standard_normal(d)
+    records = run_batch([rows] * 3, stacked_chunks([array_chunks(*a) for a in arrays]), models, theta0)
+    for model, stream, recs in zip(models, arrays, records):
+        for row, rec in zip(rows, recs):
+            _, state, min_r = _reference(stream, row, model, theta0)
+            assert np.array_equal(rec.theta_last, state.theta), (d, loss_label(row.loss))
             assert rec.min_abs_residual == min_r
 
 
