@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -283,7 +284,7 @@ def _contamination(n: int, eta: float, preset: str, value: float, seed: int) -> 
 
 
 def _corrupted_stream(model, b, passes, seed):
-    """A cell's stream as (X, y + b, b) chunks, b its contamination; b != 0 flags a row.
+    """Writers of a cell's (X, y + b, b) chunks, b its contamination; b != 0 flags a row.
 
     Pass 0 is drawn chunk by chunk in draw order; each pass p >= 1 revisits
     its rows in its own seeded permutation, so the rows are stored only when
@@ -292,21 +293,21 @@ def _corrupted_stream(model, b, passes, seed):
     n = b.size
     stored = (np.empty((n, model.d)), np.empty(n)) if passes > 1 else None
     draws = _chunk_arrays(model, derive_seed(seed, "data"), n)
-    for start in range(0, n, CHUNK):  # the frame holds no chunk while the engine uses it
-        yield _shifted_chunk(next(draws), b, start, stored)
+    for start, draw in zip(range(0, n, CHUNK), draws):
+        yield partial(_shifted_chunk, draw, b, start, stored)
     order_seed = derive_seed(seed, "order")
     for p in range(1, passes):
         yield from array_chunks(*stored, b, substream(order_seed, "pass", p).permutation(n))
 
 
-def _shifted_chunk(chunk, b, start, stored):
-    """A drawn chunk of the rows from `start`, y shifted by b; copied into `stored` when given."""
-    x, y, _ = chunk
-    stop = start + y.size
-    y = y + b[start:stop]
+def _shifted_chunk(draw, b, start, stored, x, y, flags) -> int:
+    """Draw the chunk of the rows from `start`, y shifted by b; copied into `stored` when given."""
+    rows = draw(x, y, flags)
+    y[:rows] += b[start : start + rows]
+    flags[:rows] = b[start : start + rows]
     if stored:
-        stored[0][start:stop], stored[1][start:stop] = x, y
-    return x, y, b[start:stop]
+        stored[0][start : start + rows], stored[1][start : start + rows] = x[:rows], y[:rows]
+    return rows
 
 
 def _loss_for(name: str, tau: float):
@@ -322,17 +323,20 @@ def _loss_for(name: str, tau: float):
 
 
 # An engine call holds every stream's contamination b, the rows of every
-# stream that makes several passes, and per chunk row and stream about 6 R
-# floats of engine arrays and 2 d floats of drawn and stacked features.
-# Calls are capped at this many such bytes: at the default sizes that is 10
-# breakdown streams, or one stored convergence stream, per call.
+# stream that makes several passes, and per chunk row and stream about 8 R
+# words of engine arrays, d + 2 of the chunk buffer (features, response,
+# flag) and R d / 10 of the first chunk's checkpoint arrays (about 25
+# checkpoints a row, in four arrays of d floats each). Calls are capped at
+# this many such bytes: at the default sizes that is 10 breakdown streams,
+# or one stored convergence stream, per call.
 _BYTES_PER_CALL = 16 << 20
 
 
 def _stream_bytes(cfg, names) -> int:
     """Bytes one stream adds to an engine call, as `_BYTES_PER_CALL` counts them."""
     held = cfg.n_samples * (1 + (cfg.dim + 1) * (cfg.passes > 1))
-    return 8 * (held + CHUNK * (6 * len(names) + 2 * cfg.dim))
+    r = len(names)
+    return 8 * (held + CHUNK * (8 * r + r * cfg.dim // 10 + cfg.dim + 2))
 
 
 def _cell_records(args) -> List[Dict[str, RunRecord]]:
@@ -368,7 +372,7 @@ def _cell_records(args) -> List[Dict[str, RunRecord]]:
                 rows.append(Estimator(loss, schedule, n_steps, plan, digest=digest, seed=seed))
         streams.append(_corrupted_stream(model, b, cfg.passes, seed))
         grid.append(rows)
-    records = run_batch(grid, stacked_chunks(streams), [models[cell[0]] for cell in cells], theta0)
+    records = run_batch(grid, stacked_chunks(streams, cfg.dim), [models[cell[0]] for cell in cells], theta0)
     return [dict(zip(names, recs)) for recs in records]
 
 

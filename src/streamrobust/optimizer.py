@@ -22,14 +22,22 @@ is six numpy calls per stream row on same-shape (S, R) operands: the
 responses are laid out across the R estimators beforehand, so nothing
 broadcasts them, and the residual's dot products come from `np.vecdot`,
 which makes one unit-stride BLAS ddot per (stream, estimator) pair, as the
-scalar `x @ theta` does, and so matches it bit for bit. The averaged iterate
-and min |r| are closed forms evaluated once per chunk from that chunk's
-coefficients. The tests hold a one-observation scalar reference that the
-engine is checked against, bit for bit on the trajectory.
+scalar `x @ theta` does, and so matches it bit for bit. The tests hold a
+one-observation scalar reference that the engine is checked against, bit
+for bit on the trajectory.
 
-A stream is a triple of arrays (X, y, corrupted), as `datagen` draws it;
-`run` and `oracle_ls_run` drive the engine for one estimator, on a model
-(drawn chunk by chunk) or on such a triple.
+Everything else is per chunk, in whole-grid array operations. The averaged
+iterates and min |r| are closed forms of the chunk's coefficients, and the
+errors of every checkpoint in the chunk take three `np.vecdot` passes, the
+two H forms one call per design. A vecdot value is one ddot, whatever else
+shares the call, so a record does not depend on the chunk size, on its
+other checkpoints or on the streams beside it.
+
+Chunks come from `datagen.stacked_chunks`: each is written in place into a
+stream-major buffer and read as a (rows, S, d) view, so a stream's rows are
+contiguous and nothing is copied to step them. `run` and `oracle_ls_run`
+drive the engine for one estimator, on a model (drawn chunk by chunk) or on
+a stored (X, y, corrupted) triple.
 """
 
 from __future__ import annotations
@@ -41,8 +49,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 import numpy as np
 from numpy import add, multiply, subtract, vecdot
 
-# bare: np.clip's argument checks cost more than the clip, and np.einsum wraps c_einsum
-from numpy._core.multiarray import c_einsum as _einsum
+# bare: np.clip's argument checks cost more than the clip
 from numpy._core.umath import clip as _clip
 
 from .core import (
@@ -178,12 +185,12 @@ def _advance(theta, x, y, scale, lo, r_out, c_out, window, tmp) -> None:
         buf["lo"][:n] = lo[a : a + n]
         np.negative(lo[a : a + n], out=buf["neg_lo"][:n])
         for x_i, (y_i, r, s, neg_lo, hi, c, c_col) in zip(x[a : a + n, :, None, :], steps):
-            vecdot(x_i, theta, out=r)
-            subtract(y_i, r, out=r)
-            multiply(r, s, out=c)
-            _clip(c, neg_lo, hi, out=c)
-            multiply(c_col, x_i, out=tmp)
-            add(theta, tmp, out=theta)
+            vecdot(x_i, theta, r)  # outputs passed positionally: parsing an out= keyword costs more
+            subtract(y_i, r, r)
+            multiply(r, s, c)
+            _clip(c, neg_lo, hi, c)
+            multiply(c_col, x_i, tmp)
+            add(theta, tmp, theta)
         r_out[a : a + n] = buf["r"][:n]
         c_out[a : a + n] = buf["c"][:n]
 
@@ -199,14 +206,20 @@ def run_batch(
 
     `grid[s]` holds stream s's rows and `models[s]` the model its errors are
     measured against. Chunks are (X (b, S, d), y (b, S), corrupted (b, S))
-    of at most `datagen.CHUNK` rows, as `datagen.stacked_chunks` lays them
-    out. Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its
-    step coefficient; masks and step sizes are laid out per chunk, then
-    `_advance` runs the chunk, pausing after each checkpoint row. The running
-    sum of pre-update iterates, the averages at checkpoints and min |r| follow
-    in closed form from the chunk's coefficients, for every row at once, so memory
-    stays bounded by the chunk size whatever the stream length, and a
-    stream's records do not depend on which streams share the call. Returns
+    of at most `datagen.CHUNK` rows; a nonzero or true `corrupted` flags a
+    row. `datagen.stacked_chunks` yields them as views of a stream-major
+    buffer, X (S, CHUNK, d), so each stream's rows X[:, s] are contiguous,
+    and writes the next chunk over the last: the engine is done with a chunk
+    before it asks for the next.
+
+    Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its step
+    coefficient; masks and step sizes are laid out per chunk, then `_advance`
+    runs the chunk, pausing after each checkpoint row. The running sum of
+    pre-update iterates, the averages at checkpoints and min |r| follow in
+    closed form from the chunk's coefficients, for every row at once, and so
+    do the errors of the chunk's checkpoints, so memory stays bounded by the
+    chunk size whatever the stream length, and a stream's records do not
+    depend on which streams share the call. Returns
     records as grid[s][r]. Raises NonFiniteError on a non-finite response
     (naming its stream index) or a diverged iterate.
     """
@@ -236,7 +249,10 @@ def run_batch(
     plan = np.concatenate([row.plan for row in rows])
     plan_row = np.repeat(np.arange(k_count), np.diff(at))
     errs = np.empty((3, plan.size))
-    theta_star, h = np.array([m.theta_star for m in models]), [m.design.h for m in models]
+    theta_star = np.array([m.theta_star for m in models])
+    designs = {}  # the error forms take one call per design, for every stream that shares it
+    stream_design = np.array([designs.setdefault(id(m.design), (len(designs), m.design.h))[0] for m in models])
+    hs = [h for _, h in designs.values()]
     paths = [] if record_iterates else None  # per chunk: the iterates before each row, and who stepped
 
     theta = np.tile(theta0, (s_count, r_count, 1))
@@ -290,7 +306,6 @@ def run_batch(
         mark_step = plan[marks] - before[mark_row]
         keys = own.reshape(b, k_count).T + (np.arange(k_count) * (b + 1))[:, None]
         mark_at = np.searchsorted(keys.ravel(), mark_row * (b + 1) + mark_step) - mark_row * b
-        first = np.flatnonzero(np.diff(mark_row, prepend=-1))  # each marked row's first mark: marks are by row
 
         # the loop pauses after each checkpoint row to copy the iterates read there
         start, last = theta.copy(), np.empty((marks.size, d))
@@ -335,15 +350,17 @@ def run_batch(
         d_bar += mark_step[:, None] * start.reshape(k_count, d)[mark_row]
         d_bar += ahead
         d_bar /= (before[mark_row] + mark_step)[:, None]
-        # (err_H, err_2, err_last_H), one row's checkpoints per call: einsum's rounding depends on
-        # how many rows it reduces (at d = 2, one or two round apart from three), so rows are not pooled
-        d_bar -= theta_star[mark_row // r_count]
-        d_last = np.subtract(last, theta_star[mark_row // r_count], out=last)
-        for k, j, n in zip(mark_row[first].tolist(), first.tolist(), np.diff(first, append=marks.size).tolist()):
-            out, h_k, part = errs[:, marks[j] : marks[j] + n], h[k // r_count], slice(j, j + n)
-            _einsum("md,de,me->m", d_bar[part], h_k, d_bar[part], out=out[0])
-            _einsum("md,md->m", d_bar[part], d_bar[part], out=out[1])
-            _einsum("md,de,me->m", d_last[part], h_k, d_last[part], out=out[2])
+        # (err_H, err_2, err_last_H) of every mark at once, the H forms one call per design: each
+        # value is one vecdot, a ddot per pair, so it does not depend on which marks share the call
+        mark_stream = mark_row // r_count
+        d_bar -= theta_star[mark_stream]
+        d_last = np.subtract(last, theta_star[mark_stream], out=last)
+        with np.errstate(over="ignore"):  # an overflow is reported by check_errors after the loop
+            errs[1, marks] = vecdot(d_bar, d_bar)
+            for g, h_g in enumerate(hs):
+                of = slice(None) if len(hs) == 1 else np.flatnonzero(stream_design[mark_stream] == g)
+                for k, diff in ((0, d_bar[of]), (2, d_last[of])):
+                    errs[k, marks[of]] = vecdot(diff, vecdot(diff[:, None, :], h_g))
         sums[rows_read > 0] += (taken[:, :, None] * start + moved)[rows_read > 0]
         min_r = np.minimum(min_r, np.where(active, np.abs(rb), math.inf).min(axis=0))
         done += taken
@@ -449,14 +466,14 @@ def run(
     if isinstance(source, RegressionModel):
         if model is None:
             model = source
-        chunks = stacked_chunks([_chunk_arrays(source, seed, n_steps)])
+        chunks = stacked_chunks([_chunk_arrays(source, seed, n_steps)], source.d)
     else:
         if model is None:
             raise ValueError("a reference model is required when running from stream arrays")
         x, y, corrupted = _stream_arrays(source)
         if y.size < n_steps:
             raise ValueError(f"stream ended after {y.size} samples, {n_steps} steps requested")
-        chunks = array_chunks(x[:n_steps, None], y[:n_steps, None], corrupted[:n_steps, None])
+        chunks = stacked_chunks([array_chunks(x[:n_steps], y[:n_steps], corrupted[:n_steps])], x.shape[1])
     plan = _validated_checkpoints(checkpoint_plan, n_steps)
     theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
     row = Estimator(
@@ -486,6 +503,6 @@ def oracle_ls_run(stream: Sequence[np.ndarray], gamma0: float, *, model: Regress
         L2(), StepSchedule(gamma0, CONSTANT), n_clean,
         digest=oracle_digest(gamma0, n_clean, y.size, n_clean, model),
     )
-    chunks = array_chunks(x[clean, None], y[clean, None], corrupted[clean, None])
+    chunks = stacked_chunks([array_chunks(x, y, corrupted, np.flatnonzero(clean))], x.shape[1])
     ((record,),) = run_batch([[row]], chunks, [model])
     return record

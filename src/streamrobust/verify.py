@@ -302,17 +302,20 @@ def check_moment_bounds(
         raise ValueError(f"need at least 100 replications, got {replications}")
     if schedule.kind != INV_SQRT:
         raise ValueError("the moment bounds are stated for the inverse square root schedule")
-    from .datagen import array_chunks, sample_arrays
+    from .datagen import CHUNK, sample_arrays
     from .optimizer import Estimator, default_checkpoints, run_batch
 
     theta_star = model.theta_star
-    # short streams, drawn one after another and stepped together as (n, replications, d)
-    x, y = np.empty((n, replications, model.d)), np.empty((n, replications))
+    # short streams, drawn one after another and stepped together; stream-major as
+    # datagen.stacked_chunks lays chunks out, but held at their length, not a whole chunk's
+    x, y = np.empty((replications, n, model.d)), np.empty((replications, n))
     for r in range(replications):
-        x[:, r], y[:, r], _ = sample_arrays(model, n, derive_seed(seed, "rep", r))
+        x[r], y[r], _ = sample_arrays(model, n, derive_seed(seed, "rep", r))
+    flags = np.zeros((n, replications), dtype=bool)  # an L1 row reads every row, corrupted or not
+    chunks = [(x[:, a : a + CHUNK].transpose(1, 0, 2), y[:, a : a + CHUNK].T, flags[a : a + CHUNK])
+              for a in range(0, n, CHUNK)]
     row = Estimator(L1(), schedule, n, checkpoint_plan=[n])
-    flags = np.zeros(y.shape, dtype=bool)  # an L1 row reads every row, corrupted or not
-    records = run_batch([[row]] * replications, array_chunks(x, y, flags), [model] * replications, record_iterates=True)
+    records = run_batch([[row]] * replications, chunks, [model] * replications, record_iterates=True)
     iterates = np.stack([rec.iterates for (rec,) in records])
     last = np.stack([rec.theta_last for (rec,) in records])
 

@@ -79,7 +79,7 @@ def _rate_runs(model: RegressionModel, tag: str):
     gamma0 = 1.0 / model.design.r2
     seeds = [derive_seed(RATE_SEED, tag, rep) for rep in range(RATE_REPS)]
     grid = [[Estimator(L1(), StepSchedule(gamma0), RATE_N, seed=seed)] for seed in seeds]
-    chunks = stacked_chunks([_chunk_arrays(model, seed) for seed in seeds])
+    chunks = stacked_chunks([_chunk_arrays(model, seed) for seed in seeds], model.d)
     records = run_batch(grid, chunks, [model] * RATE_REPS)
     return mean_run_record([rec for (rec,) in records])
 

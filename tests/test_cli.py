@@ -15,6 +15,7 @@ def _clean_env(monkeypatch):
 
 
 def _write_config(tmp_path, text):
+    tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "config.ini"
     path.write_text(text)
     return str(path)
@@ -75,6 +76,25 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_experiment_runs_leave_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma (np.unique does) cost about 1 MB of peak RSS and 5 % of the wall time
+    # of the small convergence run the benchmark times
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = [
+        [name, "--jobs", "1", "--config", _write_config(tmp_path / name, text), "--out", str(tmp_path / name / "out")]
+        for name, text in (("breakdown", TINY_BREAK), ("convergence", TINY_CONV))
+    ]
+    code = (
+        "import sys; from streamrobust.cli import main; "
+        + "; ".join(f"assert main({argv!r}) == 0" for argv in argvs)
+        + "; print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_jobs_and_seed_rejected(capsys):

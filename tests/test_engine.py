@@ -118,7 +118,7 @@ def engine_configs(draw):
 def test_engine_rows_match_separate_reference_loops(config):
     streams, theta0 = config
     models, arrays, grid = zip(*streams)
-    records = run_batch(grid, stacked_chunks([array_chunks(*a) for a in arrays]), models, theta0)
+    records = run_batch(grid, stacked_chunks([array_chunks(*a) for a in arrays], theta0.size), models, theta0)
     for model, stream, rows, recs in zip(models, arrays, grid, records):
         for row, rec in zip(rows, recs):
             errs, state, min_r = _reference(stream, row, model, theta0)
@@ -149,7 +149,7 @@ def test_engine_trajectories_match_the_reference_at_wide_dimensions(d):
         corrupted = rng.random(n) < 0.2
         arrays.append((x, np.where(corrupted, y + 50.0, y), corrupted))
     theta0 = rng.standard_normal(d)
-    records = run_batch([rows] * 3, stacked_chunks([array_chunks(*a) for a in arrays]), models, theta0)
+    records = run_batch([rows] * 3, stacked_chunks([array_chunks(*a) for a in arrays], d), models, theta0)
     for model, stream, recs in zip(models, arrays, records):
         for row, rec in zip(rows, recs):
             _, state, min_r = _reference(stream, row, model, theta0)
@@ -182,7 +182,7 @@ def test_a_stream_records_the_same_alone_and_in_a_group(config):
 
     def call(streams):
         return run_batch(
-            [grid[s] for s in streams], stacked_chunks([_chunk_arrays(models[s], seeds[s]) for s in streams]),
+            [grid[s] for s in streams], stacked_chunks([_chunk_arrays(models[s], seeds[s]) for s in streams], models[0].d),
             [models[s] for s in streams], record_iterates=True,
         )
 
@@ -195,6 +195,58 @@ def test_a_stream_records_the_same_alone_and_in_a_group(config):
             assert a.min_abs_residual == b.min_abs_residual
 
 
+@pytest.mark.parametrize("d", [2, 100])
+def test_a_checkpoint_errors_do_not_depend_on_its_call_mates(d):
+    # the same checkpoint, alone in its chunk or among a thousand, and on a stream alone
+    # or beside streams of other designs, has bit-equal errors; at d = 2 a reduction
+    # whose rounding depends on how many rows it takes would fail this
+    n, rng = 3 * CHUNK + 200, np.random.default_rng(d)
+    models = [_model(d, rng.standard_normal(d), spectrum) for spectrum in (False, True, True)]
+    sparse = np.arange(CHUNK // 2, n, CHUNK // 2)  # one or two checkpoints a chunk
+    rows = [Estimator(L1(), StepSchedule(0.5 / d), n, plan) for plan in (sparse, np.arange(1, n + 1))]
+
+    def call(streams):
+        chunks = stacked_chunks([_chunk_arrays(models[s], s + 1) for s in streams], d)
+        return run_batch([rows] * len(streams), chunks, [models[s] for s in streams])
+
+    order = [2, 0, 1]
+    grouped = dict(zip(order, call(order)))
+    for s, (few, every) in grouped.items():
+        assert np.array_equal(few.theta_last, every.theta_last)
+        (alone,) = call([s])
+        for name in ("err_h", "err_2", "err_last_h"):
+            assert np.array_equal(getattr(few, name), getattr(every, name)[sparse - 1]), (s, name)
+            for a, b in zip(alone, grouped[s]):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (s, name)
+
+
+def test_the_engine_is_done_with_a_chunk_before_it_asks_for_the_next(point_model):
+    # stacked_chunks writes each chunk over the one before: a chunk overwritten with
+    # NaN as soon as the next is asked for must change no record
+    n = 2 * CHUNK + 300
+    x, y, b = sample_arrays(point_model, n, seed=5)
+    rows = [
+        Estimator(Huber(0.5), StepSchedule(0.2), n),
+        Estimator(L2(), StepSchedule(0.05, CONSTANT), int(np.count_nonzero(b == 0.0)), clean_only=True),
+    ]
+
+    def copied():
+        return [tuple(a.copy() for a in chunk) for chunk in stacked_chunks([array_chunks(x, y, b)], point_model.d)]
+
+    def scribbled():
+        for chunk in copied():
+            yield chunk
+            for a in chunk:
+                a.fill(math.nan)
+
+    (kept,) = run_batch([rows], copied(), [point_model], record_iterates=True)
+    (overwritten,) = run_batch([rows], scribbled(), [point_model], record_iterates=True)
+    for a, b in zip(kept, overwritten):
+        for name in ("steps", "err_h", "err_2", "err_last_h", "theta_bar", "theta_last", "iterates"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.min_abs_residual == b.min_abs_residual
+
+
 def test_a_finished_stream_ignores_the_rows_after_its_last_step(clean_model):
     # stream 0 stops after 100 steps; its NaN at row 300 is never read, alone
     # or beside a longer stream that keeps the chunk loop going
@@ -202,7 +254,7 @@ def test_a_finished_stream_ignores_the_rows_after_its_last_step(clean_model):
     y[300] = math.nan
     other = sample_arrays(clean_model, 600, seed=3)
     rows = [[Estimator(L1(), StepSchedule(0.2), 100)], [Estimator(L1(), StepSchedule(0.2), 600)]]
-    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(*other)])
+    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(*other)], clean_model.d)
     (grouped, _) = run_batch(rows, chunks, [clean_model, clean_model])
     alone = run((x, y, b), L1(), StepSchedule(0.2), 100, model=clean_model)
     for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):
@@ -213,9 +265,9 @@ def test_a_grid_needs_one_model_and_equal_rows_per_stream(clean_model, point_mod
     row = Estimator(L1(), StepSchedule(0.2), 10)
     for grid, models in [([[row], [row, row]], [clean_model] * 2), ([[row]], [clean_model] * 2), ([], [])]:
         with pytest.raises(ValueError, match="same number of rows"):
-            run_batch(grid, stacked_chunks([_chunk_arrays(m, s) for s, m in enumerate(models)]), models)
+            run_batch(grid, stacked_chunks([_chunk_arrays(m, s) for s, m in enumerate(models)], clean_model.d), models)
     with pytest.raises(ValueError, match="same dimension"):
-        chunks = stacked_chunks([_chunk_arrays(clean_model, 1), _chunk_arrays(clean_model, 2)])
+        chunks = stacked_chunks([_chunk_arrays(clean_model, 1), _chunk_arrays(clean_model, 2)], clean_model.d)
         run_batch([[row], [row]], chunks, [clean_model, point_model])
 
 
@@ -227,7 +279,7 @@ def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
         Estimator(L1(), StepSchedule(0.2), 3000),
         Estimator(L2(), StepSchedule(0.05, CONSTANT), oracle.steps[-1], clean_only=True),
     ]
-    ((_, masked),) = run_batch([rows], array_chunks(x[:, None], y[:, None], corrupted[:, None]), [point_model])
+    ((_, masked),) = run_batch([rows], stacked_chunks([array_chunks(x, y, corrupted)], point_model.d), [point_model])
     assert np.array_equal(masked.steps, oracle.steps)
     assert np.array_equal(masked.theta_last, oracle.theta_last)
     assert masked.min_abs_residual == oracle.min_abs_residual
@@ -288,6 +340,6 @@ def test_an_error_past_the_largest_double_fails_loudly(clean_model):
     # L1 steps are gamma ||x|| long whatever the response, so the iterates stay
     # finite while their squared distance to theta* overflows
     rows = [[Estimator(L1(), StepSchedule(1e200), 50)], [Estimator(L1(), StepSchedule(0.2), 50)]]
-    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50), _chunk_arrays(clean_model, 2, 50)])
+    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50), _chunk_arrays(clean_model, 2, 50)], clean_model.d)
     with pytest.raises(NonFiniteError, match="err_h contains a non-finite value"):
         run_batch(rows, chunks, [clean_model] * 2)
