@@ -2,11 +2,12 @@
 
 Every experiment is a grid of independent cells. A cell owns one corrupted
 data stream and runs every requested estimator on it, so estimators are
-compared under common random numbers. All cells of an experiment step
-together in one engine call, each on its own stream, and `jobs` splits the
-streams across worker processes; the aggregation step is a pure reduction
-over the returned records and can be re-run on stored records without
-changing a single byte of output.
+compared under common random numbers. The cells of an experiment step
+together, each on its own stream, in as few engine calls as the per-call
+memory cap allows but at least one per worker, and the `jobs` worker
+processes take whole calls. The aggregation step is a pure reduction over
+the returned records and can be re-run on stored records without changing
+a single byte of output.
 """
 
 from __future__ import annotations
@@ -379,19 +380,19 @@ def _cell_records(args) -> List[Dict[str, RunRecord]]:
 def _experiment_records(cfg, names, cells, jobs) -> List[Dict[str, RunRecord]]:
     """Records of every cell, in cell order.
 
-    Cells are split into equal engine calls of at most _BYTES_PER_CALL, and
-    with jobs > 1 each call's streams are split across that many worker
-    processes. A stream's records do not depend on which streams share its
-    call, so neither split changes a bit.
+    Cells are split once, into as many engine calls as the _BYTES_PER_CALL
+    cap needs and at least one per worker, and with jobs > 1 the worker
+    processes take whole calls. A stream's records do not depend on which
+    streams share its call, so the split changes no bit.
     """
-    per_call = max(1, _BYTES_PER_CALL // _stream_bytes(cfg, names))
-    size = math.ceil(len(cells) / math.ceil(len(cells) / per_call))  # no short last call
     workers = 1 if jobs is None else max(1, jobs)
-    calls = []
-    for at in range(0, len(cells), size):
-        group = cells[at : at + size]
-        part = -(-len(group) // workers)
-        calls.extend((cfg, names, group[i : i + part]) for i in range(0, len(group), part))
+    per_call = max(1, _BYTES_PER_CALL // _stream_bytes(cfg, names))
+    count = max(math.ceil(len(cells) / per_call), min(workers, len(cells)))
+    size = math.ceil(len(cells) / count)
+    # calls of `size` cells, but never fewer than `count`: where that would
+    # leave calls empty, the last ones take one cell each
+    bounds = [min(i * size, len(cells) - count + i) for i in range(count + 1)]
+    calls = [(cfg, names, cells[a:b]) for a, b in zip(bounds, bounds[1:])]
     if workers > 1 and len(calls) > 1:
         # imported here: the pool machinery is about 30 modules and 1.5 MB of
         # RSS that a serial run never uses

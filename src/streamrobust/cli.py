@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, metavar="DIR", help="output directory")
         else:
             p.add_argument("--config", default=None, metavar="PATH", help="INI config file")
-            p.add_argument("--jobs", type=int, default=None, metavar="N", help="processes to share the streams")
+            p.add_argument("--jobs", type=int, default=None, metavar="N", help="processes that take whole engine calls")
             p.add_argument("--svg", action="store_true", help="also write SVG charts")
             p.add_argument("--out", required=True, metavar="DIR", help="output directory")
         p.set_defaults(func=func)

@@ -232,6 +232,8 @@ def run_batch(
     theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
     if theta0.size != d:
         raise ValueError(f"theta0 has dimension {theta0.size}, model has {d}")
+    if not np.all(np.isfinite(theta0)):
+        raise ValueError(f"theta0 must be finite, got {theta0.tolist()}")
     # row k = s R + r; its checkpoints are plan[at[k] : at[k + 1]], their errors those columns of errs
     rows = [row for stream in grid for row in stream]
     k_count = len(rows)

@@ -15,7 +15,7 @@ path beyond the model definition itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -63,25 +63,24 @@ class CheckResult:
     kind: str  # "margin" or "zscore"
     value: float
     status: str  # "pass", "warn" or "fail"
-    detail: str = ""
 
     def line(self) -> str:
         return f"{self.name},{self.status},{self.value!r}"
 
 
-def margin_result(name: str, margin: float, tol: float = MARGIN_TOL, detail: str = "") -> CheckResult:
+def margin_result(name: str, margin: float, tol: float = MARGIN_TOL) -> CheckResult:
     status = "pass" if margin >= tol else "fail"
-    return CheckResult(name, "margin", float(margin), status, detail)
+    return CheckResult(name, "margin", float(margin), status)
 
 
-def z_result(name: str, z: float, detail: str = "") -> CheckResult:
+def z_result(name: str, z: float) -> CheckResult:
     if z <= 3.0:
         status = "pass"
     elif z <= 4.0:
         status = "warn"
     else:
         status = "fail"
-    return CheckResult(name, "zscore", float(z), status, detail)
+    return CheckResult(name, "zscore", float(z), status)
 
 
 def suite_passed(results: Sequence[CheckResult]) -> bool:
@@ -168,8 +167,7 @@ def check_scale_drift(model: RegressionModel) -> CheckResult:
     a0 = gradient_scale(0.0, model)
     az = gradient_scale(z_grid, model)
     margins = factor * (z_grid / sigma) * az - np.abs(az - a0)
-    k = int(np.argmin(margins))
-    return margin_result("scale_drift", margins[k], SCALE_DRIFT_TOL, detail=f"worst z={float(z_grid[k])!r}")
+    return margin_result("scale_drift", np.min(margins), SCALE_DRIFT_TOL)
 
 
 def check_error_loss_link(model: RegressionModel) -> List[CheckResult]:
@@ -235,7 +233,7 @@ def check_avg_iterate_bound(theta_sequence, model: RegressionModel) -> CheckResu
         2.0 * sigma2 / (1.0 - et) ** 2 * gnorm_hinv
         + 800.0 / (1.0 - et) ** 2 * math.log(2.0 / (1.0 - eta)) ** 2 * align * align
     )
-    return margin_result("avg_iterate_bound", np.min(rhs - lhs), detail=f"n={seqs.shape[1]} sequences={len(seqs)}")
+    return margin_result("avg_iterate_bound", np.min(rhs - lhs))
 
 
 def check_scalar_inequalities() -> List[CheckResult]:
@@ -348,8 +346,8 @@ def check_moment_bounds(
             else:
                 worst_z4 = max(worst_z4, z)
     return [
-        z_result("moment_bounds.second", worst_z2, detail=f"n={n} reps={replications}"),
-        z_result("moment_bounds.fourth", worst_z4, detail=f"n={n} reps={replications}"),
+        z_result("moment_bounds.second", worst_z2),
+        z_result("moment_bounds.fourth", worst_z4),
     ]
 
 
@@ -445,7 +443,7 @@ def run_suite(seed: int = DEFAULT_SUITE_SEED, only: Optional[str] = None) -> Lis
             closed = float(expected_loss(theta, model))
             mean, stderr = mc_expected_loss(theta, model, 200000, derive_seed(seed, "mc", name))
             z = abs(closed - mean) / stderr
-            results.append(z_result(f"mc_loss[{name}]", z, detail=f"closed={closed!r}"))
+            results.append(z_result(f"mc_loss[{name}]", z))
 
     if wanted("gradient_fd"):
         rng = substream(seed, "fd_theta")
@@ -457,28 +455,22 @@ def run_suite(seed: int = DEFAULT_SUITE_SEED, only: Optional[str] = None) -> Lis
                 g_fd = fd_gradient(theta, model)
                 denom = max(float(np.linalg.norm(g)), 1e-12)
                 worst_rel = max(worst_rel, float(np.linalg.norm(g - g_fd)) / denom)
-        results.append(margin_result("gradient_fd", 1e-5 - worst_rel, 0.0, detail=f"rel={worst_rel!r}"))
+        results.append(margin_result("gradient_fd", 1e-5 - worst_rel, 0.0))
 
     if wanted("hessian_fd"):
         for name, model in models:
             closed = hessian_at_optimum(model)
             fd = fd_hessian_at_optimum(model)
             rel = float(np.linalg.norm(fd - closed) / np.linalg.norm(closed))
-            results.append(margin_result(f"hessian_fd[{name}]", 1e-3 - rel, 0.0, detail=f"rel={rel!r}"))
+            results.append(margin_result(f"hessian_fd[{name}]", 1e-3 - rel, 0.0))
 
     if wanted("scale_drift"):
         for name, model in models:
-            res = check_scale_drift(model)
-            results.append(
-                CheckResult(f"scale_drift[{name}]", res.kind, res.value, res.status, res.detail)
-            )
+            results.append(replace(check_scale_drift(model), name=f"scale_drift[{name}]"))
 
     if wanted("error_loss_link"):
         for name, model in models:
-            for res in check_error_loss_link(model):
-                results.append(
-                    CheckResult(f"{res.name}[{name}]", res.kind, res.value, res.status, res.detail)
-                )
+            results.extend(replace(res, name=f"{res.name}[{name}]") for res in check_error_loss_link(model))
 
     if wanted("avg_iterate_bound"):
         for name, model in models:

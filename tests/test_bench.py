@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import fields, replace
 
@@ -438,19 +439,39 @@ def test_records_do_not_depend_on_name_order_or_jobs(configs):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor, so that a monkeypatched `_cell_records` is the one called."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 def test_a_capped_experiment_runs_equal_calls_with_the_same_records(monkeypatch):
     cfg = BreakdownConfig(n_samples=600, dim=3, eta_grid=(0.1, 0.3, 0.5), replications=2, seed=4)
     whole = breakdown_experiment(cfg, jobs=1)
-    sizes, cell_records = [], bench._cell_records
+    cell_records = bench._cell_records
     monkeypatch.setattr(bench, "_cell_records", lambda args: sizes.append(len(args[2])) or cell_records(args))
     monkeypatch.setattr(bench, "_BYTES_PER_CALL", 4 * bench._stream_bytes(cfg, cfg.estimators))
-    split = breakdown_experiment(cfg, jobs=1)
-    assert sizes == [3, 3]  # six streams, at most four a call
-    assert split.tables == whole.tables
-    for key, recs in whole.records.items():
-        for a, b in zip(recs, split.records[key]):
-            for field in ("err_h", "theta_bar", "theta_last"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    # six streams, at most four a call, and at least one call per worker; a worker takes whole calls
+    for jobs, calls in ((1, [3, 3]), (2, [3, 3]), (4, [2, 2, 1, 1])):
+        sizes = []
+        split = breakdown_experiment(cfg, jobs=jobs)
+        assert sizes == calls, jobs
+        assert split.tables == whole.tables
+        for key, recs in whole.records.items():
+            for a, b in zip(recs, split.records[key]):
+                for field in ("err_h", "theta_bar", "theta_last"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field, jobs)
 
 
 # ---------------------------------------------------------------------------

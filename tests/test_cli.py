@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -390,3 +391,15 @@ def test_breakdown_defaults_without_config(tmp_path, monkeypatch):
     out_dir = tmp_path / "out"
     assert main(["breakdown", "--config", cfg, "--out", str(out_dir)]) == 0
     assert "# seed=99" in (out_dir / "manifest.csv").read_text()
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def test_the_readme_python_example_runs():
+    root = Path(__file__).resolve().parents[1]
+    (block,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -330,6 +330,16 @@ def test_oracle_names_a_nan_clean_response(clean_model):
         oracle_ls_run(stream, 0.05, model=clean_model)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_theta0_is_refused_by_name(bad, clean_model):
+    theta0 = [bad, 0.0, 0.0]
+    with pytest.raises(ValueError, match="theta0 must be finite"):
+        run(clean_model, L1(), StepSchedule(0.3), 50, theta0=theta0)
+    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50)], clean_model.d)
+    with pytest.raises(ValueError, match="theta0 must be finite"):
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], chunks, [clean_model], theta0)
+
+
 def test_l2_divergence_fails_loudly():
     model = RegressionModel(np.ones(10) / math.sqrt(10.0), Identity(10), 1.0, point_outliers(0.2, 1000.0))
     with pytest.raises(NonFiniteError, match=r"l2 with gamma0=50.0 diverged: non-finite iterate by step \d+"):
