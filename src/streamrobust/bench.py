@@ -13,7 +13,7 @@ a single byte of output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     CONSTANT,
+    ERROR_FIELDS,
     Huber,
     Identity,
     INV_SQRT,
@@ -238,7 +239,6 @@ def mean_run_record(records: Sequence[RunRecord]) -> RunRecord:
         err_2=np.mean([r.err_2 for r in records], axis=0),
         err_last_h=np.mean([r.err_last_h for r in records], axis=0),
         config_digest=short_digest(["mean", len(records)] + [r.config_digest for r in records]),
-        seed=records[0].seed,
         theta_bar=np.mean([r.theta_bar for r in records], axis=0),
         theta_last=np.mean([r.theta_last for r in records], axis=0),
         min_abs_residual=min(r.min_abs_residual for r in records),
@@ -246,7 +246,14 @@ def mean_run_record(records: Sequence[RunRecord]) -> RunRecord:
 
 
 def convergence_table(name: str, records: Sequence[RunRecord], comments=()) -> Table:
-    mean = mean_run_record(records)
+    """The mean curve of the records over the checkpoints all of them share.
+
+    Under the point preset each replication has its own clean count, so each
+    oracle record has its own plan; under the tiered preset all plans agree.
+    """
+    shared = set.intersection(*(set(rec.steps.tolist()) for rec in records))  # np.intersect1d imports numpy.ma
+    cut = [(rec, [t in shared for t in rec.steps.tolist()]) for rec in records]
+    mean = mean_run_record([replace(rec, **{f: getattr(rec, f)[at] for f in ("steps",) + ERROR_FIELDS}) for rec, at in cut])
     rows = tuple(
         (int(mean.steps[i]), float(mean.err_h[i]), float(mean.err_2[i]), float(mean.err_last_h[i]))
         for i in range(mean.steps.size)
@@ -362,7 +369,7 @@ def _cell_records(args) -> List[Dict[str, RunRecord]]:
                 n_clean = cfg.passes * int(np.count_nonzero(b == 0.0))
                 if n_clean == 0:
                     raise ValueError(f"all {n_steps} samples are corrupted, nothing to run on")
-                digest = oracle_digest(0.5 * g0, n_clean, n_steps, n_clean, model)
+                digest = oracle_digest(0.5 * g0, n_clean, n_steps, model)
                 rows.append(
                     Estimator(L2(), StepSchedule(0.5 * g0, CONSTANT), n_clean, clean_only=True, digest=digest)
                 )
@@ -370,7 +377,7 @@ def _cell_records(args) -> List[Dict[str, RunRecord]]:
                 loss, schedule = _loss_for(name, cfg.huber_tau), StepSchedule(g0, INV_SQRT)
                 plan = default_checkpoints(n_steps)
                 digest = run_digest(loss, schedule, n_steps, seed, model, theta0, plan)
-                rows.append(Estimator(loss, schedule, n_steps, plan, digest=digest, seed=seed))
+                rows.append(Estimator(loss, schedule, n_steps, plan, digest=digest))
         streams.append(_corrupted_stream(model, b, cfg.passes, seed))
         grid.append(rows)
     records = run_batch(grid, stacked_chunks(streams, cfg.dim), [models[cell[0]] for cell in cells], theta0)

@@ -104,6 +104,8 @@ class Explicit:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("explicit covariance matrix must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -124,21 +126,20 @@ def spec_dimension(spec: CovarianceSpec) -> int:
 class CovarianceDesign(NamedTuple):
     h: np.ndarray
     chol: np.ndarray
-    mu: float
     r2: float
 
 
 def realize_covariance(spec: CovarianceSpec) -> CovarianceDesign:
-    """Materialize a covariance spec into (H, lower Cholesky factor, mu, R2).
+    """Materialize a covariance spec into (H, lower Cholesky factor, R2).
 
-    mu is the smallest eigenvalue of H and R2 its trace. A `Spectrum` spec
-    with a fixed basis_seed realizes the identical matrix on every call; the
-    basis is the Q factor of a seeded Gaussian matrix with the signs of
-    diag(R) fixed, so it is Haar distributed and reproducible.
+    R2 is the trace of H. A `Spectrum` spec with a fixed basis_seed realizes
+    the identical matrix on every call; the basis is the Q factor of a seeded
+    Gaussian matrix with the signs of diag(R) fixed, so it is Haar
+    distributed and reproducible.
     """
     if isinstance(spec, Identity):
         h = np.eye(spec.d)
-        return CovarianceDesign(h, h.copy(), 1.0, float(spec.d))
+        return CovarianceDesign(h, h.copy(), float(spec.d))
 
     if isinstance(spec, Spectrum):
         eig = np.asarray(spec.eigenvalues, dtype=float)
@@ -150,7 +151,7 @@ def realize_covariance(spec: CovarianceSpec) -> CovarianceDesign:
         q = q * sign
         h = (q * eig) @ q.T
         h = 0.5 * (h + h.T)
-        return CovarianceDesign(h, np.linalg.cholesky(h), float(eig.min()), float(eig.sum()))
+        return CovarianceDesign(h, np.linalg.cholesky(h), float(eig.sum()))
 
     if isinstance(spec, Explicit):
         m = np.asarray(spec.matrix, dtype=float)
@@ -161,7 +162,7 @@ def realize_covariance(spec: CovarianceSpec) -> CovarianceDesign:
             raise ValueError(
                 f"covariance is not positive definite: smallest eigenvalue {eig[0]:.6g} <= 0"
             )
-        return CovarianceDesign(m.copy(), np.linalg.cholesky(m), float(eig[0]), float(np.trace(m)))
+        return CovarianceDesign(m.copy(), np.linalg.cholesky(m), float(np.trace(m)))
 
     raise TypeError(f"not a covariance spec: {spec!r}")
 
@@ -176,6 +177,8 @@ class PointMass:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
+        if not math.isfinite(self.value):
+            raise ValueError(f"point mass value must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,8 @@ class Uniform:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"uniform interval ends lo and hi must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"uniform interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -214,8 +219,8 @@ class OutlierDistribution:
         if len(comps) == 0:
             raise ValueError("component list must be non-empty")
         for w, c in comps:
-            if w < 0:
-                raise ValueError(f"component weight must be >= 0, got {w}")
+            if not (0 <= w < math.inf):
+                raise ValueError(f"component weight must be finite and >= 0, got {w}")
             if not isinstance(c, (PointMass, Uniform)):
                 raise TypeError(f"not an outlier component: {c!r}")
         total = math.fsum(w for w, _ in comps)
@@ -276,8 +281,10 @@ class RegressionModel:
             raise ValueError(
                 f"theta_star has dimension {theta.size}, covariance has dimension {d}"
             )
-        if not (float(self.sigma) > 0):
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"theta_star must be finite, got {theta.tolist()}")
+        if not (0 < float(self.sigma) < math.inf):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         theta.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "sigma", float(self.sigma))
@@ -391,7 +398,6 @@ class RunRecord:
     err_2: np.ndarray
     err_last_h: np.ndarray
     config_digest: str
-    seed: int
     theta_bar: np.ndarray
     theta_last: np.ndarray
     min_abs_residual: float

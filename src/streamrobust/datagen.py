@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,8 +34,11 @@ from .core import Identity, RegressionModel, substream
 CHUNK = 1024
 
 
-def _chunk_arrays(model: RegressionModel, seed: int, n: Optional[int] = None) -> Iterator[Callable]:
-    """Writers of the chunks drawn from the model law: n rows in all, or no end with n omitted.
+def _chunk_arrays(model: RegressionModel, seed: int, n: int) -> Iterator[Callable]:
+    """Writers of the chunks of the first n rows drawn from the model law.
+
+    n is required: an engine row steps on every row of its stream, so a
+    stream must end where its rows' steps do.
 
     The corruption substream always burns three uniforms per sample (flag,
     component pick, position), whether or not the flag fires, keeping stream
@@ -44,10 +47,8 @@ def _chunk_arrays(model: RegressionModel, seed: int, n: Optional[int] = None) ->
     # z @ eye(d) == z bit for bit, so an identity design skips the product
     chol_t = None if isinstance(model.covariance, Identity) else model.design.chol.T
     rngs = substream(seed, "x"), substream(seed, "noise"), substream(seed, "outlier")
-    left = math.inf if n is None else n
-    while left > 0:
-        yield partial(_draw_chunk, model, chol_t, min(CHUNK, left), *rngs)
-        left -= CHUNK
+    for start in range(0, n, CHUNK):
+        yield partial(_draw_chunk, model, chol_t, min(CHUNK, n - start), *rngs)
 
 
 def _draw_chunk(model, chol_t, rows, rng_x, rng_noise, rng_outlier, x, y, b) -> int:

@@ -122,10 +122,11 @@ def _validated_checkpoints(checkpoint_plan, n_steps: int) -> np.ndarray:
 class Estimator:
     """One row of the engine and the provenance its record carries.
 
-    A clean_only row (the least-squares oracle) steps only on observations
-    not flagged as corrupted: its step counter, step sizes, checkpoints,
-    average and min |r| all count its own steps. The plan defaults to the
-    geometric grid over n_steps.
+    A row steps on every observation of its stream that it may read, so
+    n_steps is their count: every row, or for a clean_only row (the
+    least-squares oracle) every row not flagged as corrupted. A clean_only
+    row's step counter, step sizes, checkpoints, average and min |r| all
+    count its own steps. The plan defaults to the geometric grid over n_steps.
     """
 
     loss: Loss
@@ -134,7 +135,6 @@ class Estimator:
     checkpoint_plan: Optional[np.ndarray] = None
     clean_only: bool = False
     digest: str = ""
-    seed: int = 0
     plan: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -212,6 +212,10 @@ def run_batch(
     and writes the next chunk over the last: the engine is done with a chunk
     before it asks for the next.
 
+    Every row steps on each stream row that it may read, to the end of its
+    stream: all of them, or the clean ones for a clean_only row. A ValueError
+    names a row whose stream runs past its n_steps, or ends short of them.
+
     Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its step
     coefficient; masks and step sizes are laid out per chunk, then `_advance`
     runs the chunk, pausing after each checkpoint row. The running sum of
@@ -220,7 +224,7 @@ def run_batch(
     do the errors of the chunk's checkpoints, so memory stays bounded by the
     chunk size whatever the stream length, and a stream's records do not
     depend on which streams share the call. Returns
-    records as grid[s][r]. Raises NonFiniteError on a non-finite response
+    records as grid[s][r]. Raises NonFiniteError on any non-finite response
     (naming its stream index) or a diverged iterate.
     """
     s_count, r_count = len(models), len(grid[0]) if len(grid) else 0
@@ -266,36 +270,30 @@ def run_batch(
     seen = 0
 
     for x, y, corrupted in chunks:
-        eligible = ~(clean_only[None] & np.asarray(corrupted, dtype=bool)[:, :, None])
-        count = eligible.astype(np.int64)  # each row's own step index; a cumsum in place is about 3x faster
-        np.cumsum(count, axis=0, out=count)
-        count += done
-        active = eligible & (count <= n_steps)
-        read = active.any(axis=2)  # chunk rows each stream's estimators read
-        used = np.flatnonzero(read.any(axis=1))
-        b = int(used[-1]) + 1 if used.size else 0  # rows past the last active one stay unread
-        bad = ~np.isfinite(y[:b]) & read[:b]
-        if bad.any():
-            i, s = np.argwhere(bad)[0]
+        b = y.shape[0]
+        if not np.isfinite(y).all():
+            i, s = np.argwhere(~np.isfinite(y))[0]
             where = f" of stream {s}" if s_count > 1 else ""
             raise NonFiniteError(f"non-finite response {float(y[i, s])!r} at stream index {seen + i}{where}")
-        seen += y.shape[0]
-        if b == 0:
-            continue
-        # rows a stream does not read step nothing, and their responses are not looked at
-        active, y = active[:b], np.where(read[:b], y[:b], 0.0)
-        own = np.minimum(count[:b], n_steps) - done  # each row's own steps up to and including a chunk row
+        eligible = ~(clean_only[None] & np.asarray(corrupted, dtype=bool)[:, :, None])
+        own = eligible.astype(np.int64)  # each row's own steps up to and including a chunk row
+        np.cumsum(own, axis=0, out=own)  # a cumsum in place is about 3x faster
         taken = own[-1]
+        if np.any(over := done + taken > n_steps):  # a row's n_steps are all the rows it may read
+            s, r = np.argwhere(over)[0]
+            i = seen + int(np.argmax(own[:, s, r] + done[s, r] > n_steps[s, r]))
+            raise ValueError(
+                f"stream runs past the n_steps={n_steps[s, r]} of {loss_label(grid[s][r].loss)} at stream index {i}"
+            )
+        seen += b
         # in place where it can be: these arrays are chunk rows by S by R
-        gamma = np.sqrt(np.maximum(count[:b], 1, out=count[:b]))
-        del eligible, count
+        gamma = np.sqrt(own + done)  # each row's own step index; 0 only where the row does not step
+        np.maximum(gamma, 1.0, out=gamma)
         np.divide(gamma0, gamma, out=gamma)
         np.copyto(gamma, gamma0, where=constant)
         scale = np.where(is_l1, _SIGN_SCALE, gamma)
         bound = np.multiply(gamma, lo, out=gamma)
-        idle = ~active
-        scale[idle], bound[idle] = 0.0, 0.0
-        del gamma, idle
+        scale[~eligible], bound[~eligible] = 0.0, 0.0
 
         # every row's checkpoints in the chunk: mark j is entry marks[j] of plan, row mark_row[j]'s
         # mark_step[j]-th step in the chunk, at chunk row mark_at[j], found in one search of the
@@ -311,41 +309,38 @@ def run_batch(
 
         # the loop pauses after each checkpoint row to copy the iterates read there
         start, last = theta.copy(), np.empty((marks.size, d))
-        xb, rb, cb = x[:b], np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
+        rb, cb = np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
         with np.errstate(over="ignore", invalid="ignore"):
             begin = 0
             for stop in sorted(set(mark_at.tolist()) | {b - 1}):  # not np.unique, which imports numpy.ma
                 part = slice(begin, stop + 1)
-                _advance(theta, xb[part], y[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
+                _advance(theta, x[part], y[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
                 reached = np.flatnonzero(mark_at == stop)
                 last[reached] = theta.reshape(k_count, d)[mark_row[reached]]
                 begin = stop + 1
         if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
-            _raise_divergence(grid, rb, theta, active, done)
+            _raise_divergence(grid, rb, theta, eligible, done)
         del scale, bound  # the chain's inputs: the closed forms below do not need them
 
         if paths is not None:
             path = np.empty((b,) + theta.shape)
             path[0] = start
-            np.multiply(cb[:-1, :, :, None], xb[:-1, :, None, :], out=path[1:])
+            np.multiply(cb[:-1, :, :, None], x[:-1, :, None, :], out=path[1:])
             np.cumsum(path, axis=0, out=path)
-            paths.append((path.reshape(b, k_count, d), active.reshape(b, k_count)))
+            paths.append((path.reshape(b, k_count, d), eligible.reshape(b, k_count)))
 
         # a product's rounding depends on the length and layout of its operands, so each
         # stream's products run on its own rows only, as they would with no other stream
-        rows_read = (b - np.argmax(read[b - 1 :: -1], axis=0)) * read.any(axis=0)  # per stream
         ahead = np.empty((marks.size, d))  # per mark: sum over chunk rows l <= its row of (t - own_l) coef_l x_l
-        moved = np.zeros_like(sums)  # per row: sum over the chunk of (taken - own_l) coef_l x_l
+        moved = np.empty_like(sums)  # per row: sum over the chunk of (taken - own_l) coef_l x_l
         stream_marks = np.searchsorted(mark_row, np.arange(0, k_count + 1, r_count)).tolist()
         per_mark = list(zip((mark_row % r_count).tolist(), mark_step.tolist(), (mark_at + 1).tolist()))
-        for s, m in enumerate(rows_read.tolist()):
-            if not m:
-                continue
-            xs = np.ascontiguousarray(xb[:m, s])
+        for s in range(s_count):
+            xs = np.ascontiguousarray(x[:, s])
             for j in range(stream_marks[s], stream_marks[s + 1]):
                 r, t, i = per_mark[j]
                 ahead[j] = (cb[:i, s, r] * (t - own[:i, s, r])) @ xs[:i]
-            moved[s] = ((taken[s] - own[:m, s]) * cb[:m, s]).T @ xs
+            moved[s] = ((taken[s] - own[:, s]) * cb[:, s]).T @ xs
         # with theta_j = start + sum_{l<j} coef_l x_l, a row's own steps up to chunk row i add
         # own_i start + sum_{l<=i} (own_i - own_l) coef_l x_l to the sum of its pre-update iterates
         d_bar = sums.reshape(k_count, d)[mark_row]  # in place from here: a first chunk has many marks
@@ -363,12 +358,10 @@ def run_batch(
                 of = slice(None) if len(hs) == 1 else np.flatnonzero(stream_design[mark_stream] == g)
                 for k, diff in ((0, d_bar[of]), (2, d_last[of])):
                     errs[k, marks[of]] = vecdot(diff, vecdot(diff[:, None, :], h_g))
-        sums[rows_read > 0] += (taken[:, :, None] * start + moved)[rows_read > 0]
-        min_r = np.minimum(min_r, np.where(active, np.abs(rb), math.inf).min(axis=0))
+        sums += taken[:, :, None] * start + moved
+        min_r = np.minimum(min_r, np.where(eligible, np.abs(rb), math.inf).min(axis=0))
         done += taken
-        if np.all(done == n_steps):
-            break  # before the next chunk is drawn
-        del x, y, corrupted, xb, xs, last, d_bar, d_last, ahead  # not held while the next chunk is drawn
+        del x, y, corrupted, xs, last, d_bar, d_last, ahead  # not held while the next chunk is drawn
 
     if np.any(done < n_steps):
         s, r = np.argwhere(done < n_steps)[0]
@@ -377,16 +370,15 @@ def run_batch(
             f"{done[s, r]} of {n_steps[s, r]} steps"
         )
     check_errors(errs)  # every record's at once; each plan was checked when its Estimator was made
-    if paths is not None:  # each row's iterates at the stream rows it stepped on; a view when those came first
+    if paths is not None:  # each row's iterates at the stream rows it stepped on; a view when it stepped on all
         path, stepped = (np.concatenate(parts) if len(parts) > 1 else parts[0] for parts in zip(*paths))
-        prefix = len(stepped) - np.argmax(stepped[::-1], axis=0) == n_steps.reshape(k_count)
-        iterates = [path[:n, k] if p else path[stepped[:, k], k] for k, (n, p) in enumerate(zip(n_steps.flat, prefix))]
+        iterates = [path[:, k] if stepped[:, k].all() else path[stepped[:, k], k] for k in range(k_count)]
     theta_bar = (sums / n_steps[:, :, None]).reshape(k_count, d)
     theta_last, min_r = theta.reshape(k_count, d).copy(), min_r.reshape(k_count).tolist()
     records = [
         RunRecord.checked(
             steps=row.plan, err_h=(err := errs[:, at[k] : at[k + 1]])[0], err_2=err[1], err_last_h=err[2],
-            config_digest=row.digest, seed=int(row.seed), theta_bar=theta_bar[k], theta_last=theta_last[k],
+            config_digest=row.digest, theta_bar=theta_bar[k], theta_last=theta_last[k],
             min_abs_residual=min_r[k], iterates=None if paths is None else iterates[k],
         )
         for k, row in enumerate(rows)
@@ -394,14 +386,14 @@ def run_batch(
     return [records[s * r_count : (s + 1) * r_count] for s in range(s_count)]
 
 
-def _raise_divergence(grid, residuals, theta, active, done) -> None:
+def _raise_divergence(grid, residuals, theta, eligible, done) -> None:
     bad = np.argwhere(~np.isfinite(residuals))
     if bad.size:
         i, s, r = bad[0]
     else:  # the chunk's last update overflowed
         i, (s, r) = residuals.shape[0] - 1, np.argwhere(~np.isfinite(theta).all(axis=2))[0]
     row = grid[s][r]
-    step = int(done[s, r] + np.count_nonzero(active[: i + 1, s, r]))
+    step = int(done[s, r] + np.count_nonzero(eligible[: i + 1, s, r]))
     raise NonFiniteError(
         f"{loss_label(row.loss)} with gamma0={row.schedule.gamma0!r} diverged: "
         f"non-finite iterate by step {step}"
@@ -439,9 +431,10 @@ def run_digest(loss, schedule, n_steps, seed, model, theta0, plan) -> str:
     )
 
 
-def oracle_digest(gamma0, n_steps, n_offered, n_clean, model) -> str:
-    """Config digest of a clean-data oracle record."""
-    return short_digest(["oracle_ls", gamma0, n_steps, n_offered, n_clean, model.fingerprint()])
+def oracle_digest(gamma0, n_clean, n_offered, model) -> str:
+    """Config digest of a clean-data oracle record: it steps on the n_clean clean rows of n_offered."""
+    # the clean count is hashed twice, as the steps and as the rows kept, so that digests keep their bytes
+    return short_digest(["oracle_ls", gamma0, n_clean, n_offered, n_clean, model.fingerprint()])
 
 
 def run(
@@ -481,7 +474,6 @@ def run(
     row = Estimator(
         loss, schedule, n_steps, plan,
         digest=run_digest(loss, schedule, n_steps, seed, model, theta0, plan),
-        seed=int(seed),
     )
     ((record,),) = run_batch([[row]], chunks, [model], theta0, record_iterates)
     return record
@@ -503,7 +495,7 @@ def oracle_ls_run(stream: Sequence[np.ndarray], gamma0: float, *, model: Regress
         raise ValueError(f"all {y.size} samples are corrupted, nothing to run on")
     row = Estimator(
         L2(), StepSchedule(gamma0, CONSTANT), n_clean,
-        digest=oracle_digest(gamma0, n_clean, y.size, n_clean, model),
+        digest=oracle_digest(gamma0, n_clean, y.size, model),
     )
     chunks = stacked_chunks([array_chunks(x, y, corrupted, np.flatnonzero(clean))], x.shape[1])
     ((record,),) = run_batch([[row]], chunks, [model])

