@@ -17,7 +17,7 @@ influence function,
     psi(r) = clip(r * s, -lo, lo):  L1 s = inf, lo = 1;  L2 lo = inf;  Huber lo = tau,
 
 and the per-row loop keeps only the dependent chain (residual, influence,
-rank-one update), pausing at checkpoint rows to read the iterates. The chain
+rank-one update), pausing at the rows where checkpoints fall. The chain
 is six numpy calls per stream row on same-shape (S, R) operands: the
 responses are laid out across the R estimators beforehand, so nothing
 broadcasts them, and the residual's dot products come from `np.vecdot`,
@@ -26,12 +26,14 @@ scalar `x @ theta` does, and so matches it bit for bit. The tests hold a
 one-observation scalar reference that the engine is checked against, bit
 for bit on the trajectory.
 
-Everything else is per chunk, in whole-grid array operations. The averaged
-iterates and min |r| are closed forms of the chunk's coefficients, and the
-errors of every checkpoint in the chunk take three `np.vecdot` passes, the
-two H forms one call per design. A vecdot value is one ddot, whatever else
-shares the call, so a record does not depend on the chunk size, on its
-other checkpoints or on the streams beside it.
+A checkpoint is read whole where the chain pauses for it: its average from
+the running sum, the chunk's start and one gemv of its stream's rows, its
+last iterate from the chain, and its three errors from `np.vecdot` (an
+identity design's H form is the squared norm, with no product by I). A
+vecdot value is one ddot, whatever else shares the call, so a record does
+not depend on the chunk size, on its other checkpoints or on the streams
+beside it. The running sums and min |r| are closed forms of each chunk's
+coefficients, in whole-grid array operations.
 
 Chunks come from `datagen.stacked_chunks`: each is written in place into a
 stream-major buffer and read as a (rows, S, d) view, so a stream's rows are
@@ -55,6 +57,7 @@ from numpy._core.umath import clip as _clip
 from .core import (
     CONSTANT,
     Huber,
+    Identity,
     L1,
     L2,
     Loss,
@@ -218,14 +221,15 @@ def run_batch(
 
     Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its step
     coefficient; masks and step sizes are laid out per chunk, then `_advance`
-    runs the chunk, pausing after each checkpoint row. The running sum of
-    pre-update iterates, the averages at checkpoints and min |r| follow in
-    closed form from the chunk's coefficients, for every row at once, and so
-    do the errors of the chunk's checkpoints, so memory stays bounded by the
-    chunk size whatever the stream length, and a stream's records do not
-    depend on which streams share the call. Returns
-    records as grid[s][r]. Raises NonFiniteError on any non-finite response
-    (naming its stream index) or a diverged iterate.
+    runs the chunk, pausing after each row where some row reaches a
+    checkpoint. There each checkpoint reached is read whole, its average and
+    errors from the chunk's coefficients so far, so no array grows with the
+    checkpoints; after the chain, the running sums of pre-update iterates
+    and min |r| follow in closed form, for every row at once. Memory stays
+    bounded by the chunk size whatever the stream length or the plans, and
+    a stream's records do not depend on which streams share the call.
+    Returns records as grid[s][r]. Raises NonFiniteError on any non-finite
+    response (naming its stream index) or a diverged iterate.
     """
     s_count, r_count = len(models), len(grid[0]) if len(grid) else 0
     if not s_count or len(grid) != s_count or not r_count or any(len(rows) != r_count for rows in grid):
@@ -253,12 +257,11 @@ def run_batch(
     constant = row_array([row.schedule.kind == CONSTANT for row in rows], bool)
     at = np.cumsum([0] + [row.plan.size for row in rows])
     plan = np.concatenate([row.plan for row in rows])
-    plan_row = np.repeat(np.arange(k_count), np.diff(at))
     errs = np.empty((3, plan.size))
+    col = at[:-1].copy()  # per row: the entry of plan, and column of errs, of its next checkpoint
+    due = plan[col]  # per row: its step count there, or past n_steps once it has read its last
     theta_star = np.array([m.theta_star for m in models])
-    designs = {}  # the error forms take one call per design, for every stream that shares it
-    stream_design = np.array([designs.setdefault(id(m.design), (len(designs), m.design.h))[0] for m in models])
-    hs = [h for _, h in designs.values()]
+    hs = [None if isinstance(m.covariance, Identity) else m.design.h for m in models]
     paths = [] if record_iterates else None  # per chunk: the iterates before each row, and who stepped
 
     theta = np.tile(theta0, (s_count, r_count, 1))
@@ -295,32 +298,53 @@ def run_batch(
         bound = np.multiply(gamma, lo, out=gamma)
         scale[~eligible], bound[~eligible] = 0.0, 0.0
 
-        # every row's checkpoints in the chunk: mark j is entry marks[j] of plan, row mark_row[j]'s
-        # mark_step[j]-th step in the chunk, at chunk row mark_at[j], found in one search of the
-        # rows' nondecreasing step counts laid end to end, column c offset by c (b + 1)
-        before = done.reshape(k_count)
-        inside = plan > before[plan_row]
-        inside &= plan <= (before + taken.reshape(k_count))[plan_row]
-        marks = np.flatnonzero(inside)
-        mark_row = plan_row[marks]
-        mark_step = plan[marks] - before[mark_row]
-        keys = own.reshape(b, k_count).T + (np.arange(k_count) * (b + 1))[:, None]
-        mark_at = np.searchsorted(keys.ravel(), mark_row * (b + 1) + mark_step) - mark_row * b
-
-        # the loop pauses after each checkpoint row to copy the iterates read there
-        start, last = theta.copy(), np.empty((marks.size, d))
+        # a product's rounding depends on the length and layout of its operands, so each
+        # stream's products run on its own rows only, as they would with no other stream
+        xs = [np.ascontiguousarray(x[:, s]) for s in range(s_count)]
+        start = theta.copy()
         rb, cb = np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
-        with np.errstate(over="ignore", invalid="ignore"):
+        # per row: the chunk row where it reaches its next checkpoint, b or more if it does not, found
+        # in one search of the rows' nondecreasing step counts laid end to end, row k offset by k (b + 1)
+        before = done.reshape(k_count)
+        keys = (own.reshape(b, k_count).T + (np.arange(k_count) * (b + 1))[:, None]).ravel()
+
+        def reach(k):
+            return np.searchsorted(keys, k * (b + 1) + due[k] - before[k]) - k * b
+
+        def read(k, i):
+            """Read whole the checkpoint each row of k reaches at chunk row i - 1, and find its next.
+
+            With theta_j = start + sum_{l<j} coef_l x_l, a row's t steps in the chunk add
+            t start + sum_{l<i} (t - own_l) coef_l x_l to the sum of its pre-update iterates.
+            """
+            for row in k.tolist():
+                (s, r), t, c = divmod(row, r_count), due[row] - before[row], col[row]
+                bar = sums[s, r] + t * start[s, r]
+                bar += (cb[:i, s, r] * (t - own[:i, s, r])) @ xs[s][:i]
+                bar /= due[row]
+                bar -= theta_star[s]
+                last = theta[s, r] - theta_star[s]
+                # (err_H, err_2, err_last_H): each value is one vecdot, a ddot, whatever the call holds
+                norm, h = vecdot(bar, bar), hs[s]
+                if h is None:  # diff . (diff @ I) is diff . diff bit for bit
+                    errs[:, c] = norm, norm, vecdot(last, last)
+                else:
+                    errs[:, c] = vecdot(bar, vecdot(bar, h)), norm, vecdot(last, vecdot(last, h))
+                # the step of its next checkpoint, past n_steps once it has read its last
+                col[row], due[row] = c + 1, plan[c + 1] if c + 1 < at[row + 1] else n_steps[s, r] + 1
+                due_at[row] = reach(row)
+
+        due_at = reach(np.arange(k_count))
+        with np.errstate(over="ignore", invalid="ignore"):  # a divergence or overflow is reported below
             begin = 0
-            for stop in sorted(set(mark_at.tolist()) | {b - 1}):  # not np.unique, which imports numpy.ma
-                part = slice(begin, stop + 1)
-                _advance(theta, x[part], y[part], scale[part], bound[part], rb[part], cb[part], window, tmp)
-                reached = np.flatnonzero(mark_at == stop)
-                last[reached] = theta.reshape(k_count, d)[mark_row[reached]]
+            while begin < b:  # the chain pauses after each row where some row reaches a checkpoint
+                stop = min(int(due_at.min()), b - 1)
+                _advance(theta, *(a[begin : stop + 1] for a in (x, y, scale, bound, rb, cb)), window, tmp)
                 begin = stop + 1
+                read(np.flatnonzero(due_at == stop), begin)
         if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
             _raise_divergence(grid, rb, theta, eligible, done)
-        del scale, bound  # the chain's inputs: the closed forms below do not need them
+        del scale, bound  # the chain's inputs: the sums below do not need them
 
         if paths is not None:
             path = np.empty((b,) + theta.shape)
@@ -329,39 +353,12 @@ def run_batch(
             np.cumsum(path, axis=0, out=path)
             paths.append((path.reshape(b, k_count, d), eligible.reshape(b, k_count)))
 
-        # a product's rounding depends on the length and layout of its operands, so each
-        # stream's products run on its own rows only, as they would with no other stream
-        ahead = np.empty((marks.size, d))  # per mark: sum over chunk rows l <= its row of (t - own_l) coef_l x_l
-        moved = np.empty_like(sums)  # per row: sum over the chunk of (taken - own_l) coef_l x_l
-        stream_marks = np.searchsorted(mark_row, np.arange(0, k_count + 1, r_count)).tolist()
-        per_mark = list(zip((mark_row % r_count).tolist(), mark_step.tolist(), (mark_at + 1).tolist()))
-        for s in range(s_count):
-            xs = np.ascontiguousarray(x[:, s])
-            for j in range(stream_marks[s], stream_marks[s + 1]):
-                r, t, i = per_mark[j]
-                ahead[j] = (cb[:i, s, r] * (t - own[:i, s, r])) @ xs[:i]
-            moved[s] = ((taken[s] - own[:, s]) * cb[:, s]).T @ xs
-        # with theta_j = start + sum_{l<j} coef_l x_l, a row's own steps up to chunk row i add
-        # own_i start + sum_{l<=i} (own_i - own_l) coef_l x_l to the sum of its pre-update iterates
-        d_bar = sums.reshape(k_count, d)[mark_row]  # in place from here: a first chunk has many marks
-        d_bar += mark_step[:, None] * start.reshape(k_count, d)[mark_row]
-        d_bar += ahead
-        d_bar /= (before[mark_row] + mark_step)[:, None]
-        # (err_H, err_2, err_last_H) of every mark at once, the H forms one call per design: each
-        # value is one vecdot, a ddot per pair, so it does not depend on which marks share the call
-        mark_stream = mark_row // r_count
-        d_bar -= theta_star[mark_stream]
-        d_last = np.subtract(last, theta_star[mark_stream], out=last)
-        with np.errstate(over="ignore"):  # an overflow is reported by check_errors after the loop
-            errs[1, marks] = vecdot(d_bar, d_bar)
-            for g, h_g in enumerate(hs):
-                of = slice(None) if len(hs) == 1 else np.flatnonzero(stream_design[mark_stream] == g)
-                for k, diff in ((0, d_bar[of]), (2, d_last[of])):
-                    errs[k, marks[of]] = vecdot(diff, vecdot(diff[:, None, :], h_g))
+        # per row: sum over the chunk of (taken - own_l) coef_l x_l
+        moved = np.array([((taken[s] - own[:, s]) * cb[:, s]).T @ xs[s] for s in range(s_count)])
         sums += taken[:, :, None] * start + moved
         min_r = np.minimum(min_r, np.where(eligible, np.abs(rb), math.inf).min(axis=0))
         done += taken
-        del x, y, corrupted, xs, last, d_bar, d_last, ahead  # not held while the next chunk is drawn
+        del x, y, corrupted, xs  # not held while the next chunk is drawn
 
     if np.any(done < n_steps):
         s, r = np.argwhere(done < n_steps)[0]

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from streamrobust.core import (
     CONSTANT,
+    Explicit,
     Huber,
     Identity,
     INV_SQRT,
@@ -29,6 +31,7 @@ from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
 from scalar_reference import SgdState, sgd_step
 
 LOSSES = [L1(), L2(), Huber(0.7)]
+LOSS_NAMES = dict(zip(("l1", "l2", "huber"), LOSSES))
 
 
 def _reference(stream, row, model, theta0):
@@ -94,28 +97,52 @@ def _model(d, theta_star, spectrum):
 
 @st.composite
 def engine_configs(draw):
-    """S streams of their own data, models and flags, with R rows each."""
+    """Seeds, sizes and names of S streams with R rows each, which `_engine_streams` builds.
+
+    Only plain values are drawn, so a failing example prints in a few lines.
+    """
     d = draw(st.integers(1, 6))
     n = draw(st.integers(CHUNK - 40, 2 * CHUNK + 40))  # always crosses a chunk boundary
     r_count = draw(st.integers(1, 3))
-    streams = []
-    for _ in range(draw(st.integers(1, 3))):
-        data_seed = draw(st.integers(0, 2**32 - 1))
+    # loss, schedule, gamma0 d, clean_only, checkpoint count (0 for the default plan)
+    row = st.tuples(
+        st.sampled_from(sorted(LOSS_NAMES)), st.sampled_from([INV_SQRT, CONSTANT]),
+        st.floats(0.005, 0.3), st.booleans(), st.integers(0, 12),
+    )
+    # data seed, corruption rate, covariance, rows
+    stream = st.tuples(
+        st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.4]), st.sampled_from(["identity", "spectrum"]),
+        st.lists(row, min_size=r_count, max_size=r_count),
+    )
+    return d, n, draw(st.lists(stream, min_size=1, max_size=3))
+
+
+def _engine_streams(d, n, streams):
+    """Each drawn stream's model, (X, y, corrupted) arrays and rows, and a theta0."""
+    built = []
+    for data_seed, rate, covariance, rows in streams:
         rng = np.random.default_rng(data_seed)
-        corrupted = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.4]))
-        model = _model(d, rng.standard_normal(d), draw(st.booleans()))
+        corrupted = rng.random(n) < rate
+        model = _model(d, rng.standard_normal(d), covariance == "spectrum")
         x, y, _ = sample_arrays(model, n, data_seed)
-        stream = (x, np.where(corrupted, y + 50.0, y), corrupted)
         n_clean = int(np.count_nonzero(~corrupted))
-        streams.append((model, stream, _estimators(draw, n, n_clean, d, r_count)))
-    theta0 = np.random.default_rng(n).standard_normal(d)
-    return streams, theta0
+        estimators = []
+        for j, (loss, kind, gamma0, clean_only, marks) in enumerate(rows):
+            clean_only = clean_only and n_clean > 0
+            n_steps = n_clean if clean_only else n
+            plan = None
+            if marks:
+                picks = np.random.default_rng([data_seed, j]).choice(n_steps, min(marks, n_steps), replace=False)
+                plan = np.sort(picks) + 1
+            estimators.append(Estimator(LOSS_NAMES[loss], StepSchedule(gamma0 / d, kind), n_steps, plan, clean_only))
+        built.append((model, (x, np.where(corrupted, y + 50.0, y), corrupted), estimators))
+    return built, np.random.default_rng(n).standard_normal(d)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(engine_configs())
 def test_engine_rows_match_separate_reference_loops(config):
-    streams, theta0 = config
+    streams, theta0 = _engine_streams(*config)
     models, arrays, grid = zip(*streams)
     records = run_batch(grid, stacked_chunks([array_chunks(*a) for a in arrays], theta0.size), models, theta0)
     for model, stream, rows, recs in zip(models, arrays, grid, records):
@@ -217,6 +244,44 @@ def test_a_checkpoint_errors_do_not_depend_on_its_call_mates(d):
             assert np.array_equal(getattr(few, name), getattr(every, name)[sparse - 1]), (s, name)
             for a, b in zip(alone, grouped[s]):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (s, name)
+
+
+@pytest.mark.parametrize("d", [4, 100])
+def test_an_identity_design_records_the_bits_of_an_explicit_identity(d):
+    # the H forms of an identity design are squared norms, with no product by I
+    n, rng = CHUNK + 300, np.random.default_rng(d)
+    theta_star = rng.standard_normal(d)
+    models = [RegressionModel(theta_star, cov, 1.0, no_outliers()) for cov in (Identity(d), Explicit(np.eye(d)))]
+    x, y, _ = sample_arrays(models[0], n, seed=d)
+    corrupted = rng.random(n) < 0.2
+    stream = (x, np.where(corrupted, y + 50.0, y), corrupted)
+    rows = [Estimator(L1(), StepSchedule(0.5 / d), n), Estimator(Huber(0.7), StepSchedule(0.2 / d, CONSTANT), n)]
+    (same, explicit) = (run_batch([rows], stacked_chunks([array_chunks(*stream)], d), [m])[0] for m in models)
+    for a, b in zip(same, explicit):
+        for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_a_checkpoint_at_every_step_adds_no_chunk_sized_array_to_the_peak():
+    # a checkpoint is read where the chain pauses for it, so a plan that reads every step
+    # of a chunk holds at most S R iterates at a time, not one per checkpoint
+    d, n, rng = 100, CHUNK + 200, np.random.default_rng(3)
+    models = [RegressionModel(rng.standard_normal(d), Identity(d), 1.0, point_outliers(0.2, 100.0)) for _ in range(3)]
+    losses = [L1(), L2(), Huber(0.5), Huber(2.0), L1()]
+
+    def traced_peak(plan):
+        grid = [[Estimator(loss, StepSchedule(0.2 / d), n, plan) for loss in losses] for _ in models]
+        chunks = stacked_chunks([_chunk_arrays(m, s, n) for s, m in enumerate(models)], d)
+        tracemalloc.start()
+        try:
+            run_batch(grid, chunks, models)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak([n])  # once first, so that the measured calls find numpy's caches warm
+    one, every = traced_peak([n]), traced_peak(np.r_[np.arange(1, CHUNK + 1), n])
+    assert every - one < CHUNK * d * 8
 
 
 def test_the_engine_is_done_with_a_chunk_before_it_asks_for_the_next(point_model):
