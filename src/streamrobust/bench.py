@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    CONSTANT,
     ERROR_FIELDS,
     Huber,
     Identity,
@@ -38,7 +37,7 @@ from .core import (
     substream,
 )
 from .datagen import CHUNK, _chunk_arrays, array_chunks, stacked_chunks, tiered_contamination
-from .optimizer import Estimator, default_checkpoints, default_gamma0, oracle_digest, run_batch, run_digest
+from .optimizer import default_gamma0, oracle_row, run_batch, sgd_row
 
 CONVERGENCE_LOSSES = ("l1", "l2", "huber", "oracle")
 BREAKDOWN_ESTIMATORS = ("l1", "l2", "huber", "huber_x30", "oracle")
@@ -356,31 +355,19 @@ def _cell_records(args) -> List[Dict[str, RunRecord]]:
     """
     cfg, names, cells = args
     n_steps = cfg.n_samples * cfg.passes
-    theta0 = np.zeros(cfg.dim)
     models = {cov: _clean_model(cfg.dim, cfg.sigma, cov, cfg.seed) for cov in {cell[0] for cell in cells}}
     streams, grid = [], []
     for cov, eta, seed in cells:
         model = models[cov]
         b = _contamination(cfg.n_samples, eta, cfg.preset, cfg.outlier_value, derive_seed(seed, "contam"))
         g0 = default_gamma0(model) if cfg.gamma0 is None else cfg.gamma0
-        rows = []
-        for name in names:
-            if name == "oracle":
-                n_clean = cfg.passes * int(np.count_nonzero(b == 0.0))
-                if n_clean == 0:
-                    raise ValueError(f"all {n_steps} samples are corrupted, nothing to run on")
-                digest = oracle_digest(0.5 * g0, n_clean, n_steps, model)
-                rows.append(
-                    Estimator(L2(), StepSchedule(0.5 * g0, CONSTANT), n_clean, clean_only=True, digest=digest)
-                )
-            else:
-                loss, schedule = _loss_for(name, cfg.huber_tau), StepSchedule(g0, INV_SQRT)
-                plan = default_checkpoints(n_steps)
-                digest = run_digest(loss, schedule, n_steps, seed, model, theta0, plan)
-                rows.append(Estimator(loss, schedule, n_steps, plan, digest=digest))
+        grid.append([
+            oracle_row(0.5 * g0, cfg.passes * int(np.count_nonzero(b == 0.0)), n_steps, model) if name == "oracle"
+            else sgd_row(_loss_for(name, cfg.huber_tau), StepSchedule(g0, INV_SQRT), n_steps, seed, model)
+            for name in names
+        ])
         streams.append(_corrupted_stream(model, b, cfg.passes, seed))
-        grid.append(rows)
-    records = run_batch(grid, stacked_chunks(streams, cfg.dim), [models[cell[0]] for cell in cells], theta0)
+    records = run_batch(grid, stacked_chunks(streams, cfg.dim), [models[cell[0]] for cell in cells])
     return [dict(zip(names, recs)) for recs in records]
 
 

@@ -40,12 +40,10 @@ from .verify import DEFAULT_SUITE_SEED, CHECK_GROUPS, report_lines, run_suite, s
 
 ENV_SEED = "STREAMROBUST_SEED"
 
-# command -> (config class, experiment, file name prefix of its tables). The
-# experiment is named, not held, so the function bound to that name in this
-# module when the command runs is the one called.
+# command -> (config class, file name prefix of its tables)
 EXPERIMENTS = {
-    "convergence": (ConvergenceConfig, "convergence_experiment", "convergence_"),
-    "breakdown": (BreakdownConfig, "breakdown_experiment", ""),
+    "convergence": (ConvergenceConfig, "convergence_"),
+    "breakdown": (BreakdownConfig, ""),
 }
 
 
@@ -153,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config_class, experiment, prefix = EXPERIMENTS[args.command]
+    config_class, prefix = EXPERIMENTS[args.command]
     cfg, errors = config_from_mapping(config_class, _read_config_section(args.config, args.command))
     if errors:
         for err in errors:
@@ -164,8 +162,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed, cfg.seed))
     out = _prepare_out_dir(args.out)
 
+    # looked up when the command runs, so the function bound to the name in this module then is the one called
+    experiment = convergence_experiment if args.command == "convergence" else breakdown_experiment
     try:
-        result = globals()[experiment](cfg, jobs=args.jobs or os.cpu_count() or 1)
+        result = experiment(cfg, jobs=args.jobs or os.cpu_count() or 1)
     except NonFiniteError:  # a ValueError too, but a failed run: main exits 1
         raise
     except ValueError as exc:  # a valid config whose data leave a cell nothing to run on

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 

@@ -37,9 +37,12 @@ coefficients, in whole-grid array operations.
 
 Chunks come from `datagen.stacked_chunks`: each is written in place into a
 stream-major buffer and read as a (rows, S, d) view, so a stream's rows are
-contiguous and nothing is copied to step them. `run` and `oracle_ls_run`
-drive the engine for one estimator, on a model (drawn chunk by chunk) or on
-a stored (X, y, corrupted) triple.
+contiguous and nothing is copied to step them. Every row starts at 0 and is
+built by one of two builders, which also give it its config digest:
+`sgd_row` for averaged SGD on a loss and `oracle_row` for the clean-data
+least-squares oracle. `run` and `oracle_ls_run` drive the engine for one
+such row, on a model (drawn chunk by chunk) or on a stored (X, y, corrupted)
+triple.
 """
 
 from __future__ import annotations
@@ -125,11 +128,13 @@ def _validated_checkpoints(checkpoint_plan, n_steps: int) -> np.ndarray:
 class Estimator:
     """One row of the engine and the provenance its record carries.
 
-    A row steps on every observation of its stream that it may read, so
-    n_steps is their count: every row, or for a clean_only row (the
-    least-squares oracle) every row not flagged as corrupted. A clean_only
-    row's step counter, step sizes, checkpoints, average and min |r| all
-    count its own steps. The plan defaults to the geometric grid over n_steps.
+    Every row starts at 0; `sgd_row` and `oracle_row` build the package's
+    rows with their digests. A row steps on every observation of its stream
+    that it may read, so n_steps is their count: every row, or for a
+    clean_only row (the least-squares oracle) every row not flagged as
+    corrupted. A clean_only row's step counter, step sizes, checkpoints,
+    average and min |r| all count its own steps. The plan defaults to the
+    geometric grid over n_steps.
     """
 
     loss: Loss
@@ -145,6 +150,39 @@ class Estimator:
         if not isinstance(self.loss, (L1, L2, Huber)):
             raise TypeError(f"not a loss: {self.loss!r}")
         object.__setattr__(self, "plan", _validated_checkpoints(self.checkpoint_plan, self.n_steps))
+
+
+def sgd_row(loss: Loss, schedule: StepSchedule, n_steps: int, seed, model: RegressionModel, plan=None) -> Estimator:
+    """Averaged SGD on `loss` from 0, on the plan (the geometric grid by default), with its config digest."""
+    n_steps = _step_count(n_steps)
+    plan = _validated_checkpoints(plan, n_steps)
+    digest = short_digest(
+        [
+            "run",
+            loss_label(loss),
+            schedule.kind,
+            schedule.gamma0.hex(),
+            n_steps,
+            seed,
+            model.fingerprint(),
+            np.zeros(model.d),  # the start, so that digests keep their bytes
+            plan,
+        ]
+    )
+    return Estimator(loss, schedule, n_steps, plan, digest=digest)
+
+
+def oracle_row(gamma0: float, n_clean: int, n_offered: int, model: RegressionModel) -> Estimator:
+    """The clean-data oracle, with its config digest: constant-step least squares from 0.
+
+    The row is masked off on corrupted rows, so it steps on the n_clean
+    clean rows of the n_offered, with the geometric checkpoints.
+    """
+    if n_clean == 0:
+        raise ValueError(f"all {n_offered} samples are corrupted, nothing to run on")
+    # the clean count is hashed twice, as the steps and as the rows kept, so that digests keep their bytes
+    digest = short_digest(["oracle_ls", gamma0, n_clean, n_offered, n_clean, model.fingerprint()])
+    return Estimator(L2(), StepSchedule(gamma0, CONSTANT), n_clean, clean_only=True, digest=digest)
 
 
 # The loop refills its buffers once per window of stream rows, and each window
@@ -202,7 +240,7 @@ def run_batch(
     grid: Sequence[Sequence[Estimator]],
     chunks: Iterable[tuple],
     models: Sequence[RegressionModel],
-    theta0=None,
+    *,
     record_iterates: bool = False,
 ) -> List[List[RunRecord]]:
     """Run S streams at once, each with its own model and the same number R of rows.
@@ -213,11 +251,14 @@ def run_batch(
     row. `datagen.stacked_chunks` yields them as views of a stream-major
     buffer, X (S, CHUNK, d), so each stream's rows X[:, s] are contiguous,
     and writes the next chunk over the last: the engine is done with a chunk
-    before it asks for the next.
+    before it asks for the next. A ValueError names a chunk whose arrays
+    disagree with each other, or in stream count or dimension with the grid
+    and the models.
 
-    Every row steps on each stream row that it may read, to the end of its
-    stream: all of them, or the clean ones for a clean_only row. A ValueError
-    names a row whose stream runs past its n_steps, or ends short of them.
+    Every row starts at 0 and steps on each stream row that it may read, to
+    the end of its stream: all of them, or the clean ones for a clean_only
+    row. A ValueError names a row whose stream runs past its n_steps, or ends
+    short of them.
 
     Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its step
     coefficient; masks and step sizes are laid out per chunk, then `_advance`
@@ -237,11 +278,6 @@ def run_batch(
     d = models[0].d
     if any(m.d != d for m in models):
         raise ValueError("every stream's model must have the same dimension")
-    theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
-    if theta0.size != d:
-        raise ValueError(f"theta0 has dimension {theta0.size}, model has {d}")
-    if not np.all(np.isfinite(theta0)):
-        raise ValueError(f"theta0 must be finite, got {theta0.tolist()}")
     # row k = s R + r; its checkpoints are plan[at[k] : at[k + 1]], their errors those columns of errs
     rows = [row for stream in grid for row in stream]
     k_count = len(rows)
@@ -264,7 +300,7 @@ def run_batch(
     hs = [None if isinstance(m.covariance, Identity) else m.design.h for m in models]
     paths = [] if record_iterates else None  # per chunk: the iterates before each row, and who stepped
 
-    theta = np.tile(theta0, (s_count, r_count, 1))
+    theta = np.zeros((s_count, r_count, d))
     tmp = np.empty_like(theta)
     sums = np.zeros_like(theta)  # per row: sum of its pre-update iterates so far
     done = np.zeros((s_count, r_count), dtype=np.int64)
@@ -273,6 +309,11 @@ def run_batch(
     seen = 0
 
     for x, y, corrupted in chunks:
+        if x.shape[1:] != (s_count, d) or y.shape != x.shape[:2] or np.shape(corrupted) != y.shape:
+            raise ValueError(
+                f"chunk has X {x.shape}, y {y.shape} and corrupted {np.shape(corrupted)}, "
+                f"but the grid has stream count {s_count} and the models dimension {d}"
+            )
         b = y.shape[0]
         if not np.isfinite(y).all():
             i, s = np.argwhere(~np.isfinite(y))[0]
@@ -411,29 +452,6 @@ def _stream_arrays(stream):
     return x, y, corrupted
 
 
-def run_digest(loss, schedule, n_steps, seed, model, theta0, plan) -> str:
-    """Config digest of an averaged-SGD run record."""
-    return short_digest(
-        [
-            "run",
-            loss_label(loss),
-            schedule.kind,
-            schedule.gamma0.hex(),
-            n_steps,
-            seed,
-            model.fingerprint(),
-            theta0,
-            plan,
-        ]
-    )
-
-
-def oracle_digest(gamma0, n_clean, n_offered, model) -> str:
-    """Config digest of a clean-data oracle record: it steps on the n_clean clean rows of n_offered."""
-    # the clean count is hashed twice, as the steps and as the rows kept, so that digests keep their bytes
-    return short_digest(["oracle_ls", gamma0, n_clean, n_offered, n_clean, model.fingerprint()])
-
-
 def run(
     source: Union[RegressionModel, Sequence[np.ndarray]],
     loss: Loss,
@@ -443,10 +461,9 @@ def run(
     seed: int = 0,
     *,
     model: Optional[RegressionModel] = None,
-    theta0=None,
     record_iterates: bool = False,
 ) -> RunRecord:
-    """One estimator over one stream: the engine with S = R = 1.
+    """One `sgd_row` over one stream, from 0: the engine with S = R = 1.
 
     `source` is either a model (a fresh seeded stream is generated from it,
     chunk by chunk) or an (X, y, corrupted) triple, of which the first
@@ -466,34 +483,23 @@ def run(
         if y.size < n_steps:
             raise ValueError(f"stream ended after {y.size} samples, {n_steps} steps requested")
         chunks = stacked_chunks([array_chunks(x[:n_steps], y[:n_steps], corrupted[:n_steps])], x.shape[1])
-    plan = _validated_checkpoints(checkpoint_plan, n_steps)
-    theta0 = np.zeros(model.d) if theta0 is None else np.asarray(theta0, dtype=float).reshape(-1)
-    row = Estimator(
-        loss, schedule, n_steps, plan,
-        digest=run_digest(loss, schedule, n_steps, seed, model, theta0, plan),
-    )
-    ((record,),) = run_batch([[row]], chunks, [model], theta0, record_iterates)
+    row = sgd_row(loss, schedule, n_steps, seed, model, checkpoint_plan)
+    ((record,),) = run_batch([[row]], chunks, [model], record_iterates=record_iterates)
     return record
 
 
 def oracle_ls_run(stream: Sequence[np.ndarray], gamma0: float, *, model: RegressionModel) -> RunRecord:
-    """Clean-data baseline: constant-step averaged squared-loss SGD from 0.
+    """Clean-data baseline: the `oracle_row`, constant-step averaged squared-loss SGD from 0.
 
     `stream` is an (X, y, corrupted) triple. Every row flagged as corrupted
     is dropped before it reaches the estimator; this is the one consumer
     allowed to read the flags. Every clean row is consumed, with the
     geometric checkpoints. (Within a cell, the engine instead masks the
-    oracle row off on the corrupted rows.)
+    oracle row off on the corrupted rows; here every row it gets is clean.)
     """
     x, y, corrupted = _stream_arrays(stream)
-    clean = ~corrupted
-    n_clean = int(np.count_nonzero(clean))
-    if n_clean == 0:
-        raise ValueError(f"all {y.size} samples are corrupted, nothing to run on")
-    row = Estimator(
-        L2(), StepSchedule(gamma0, CONSTANT), n_clean,
-        digest=oracle_digest(gamma0, n_clean, y.size, model),
-    )
-    chunks = stacked_chunks([array_chunks(x, y, corrupted, np.flatnonzero(clean))], x.shape[1])
+    clean = np.flatnonzero(~corrupted)
+    row = oracle_row(gamma0, clean.size, y.size, model)
+    chunks = stacked_chunks([array_chunks(x, y, corrupted, clean)], x.shape[1])
     ((record,),) = run_batch([[row]], chunks, [model])
     return record

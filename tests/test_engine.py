@@ -34,9 +34,9 @@ LOSSES = [L1(), L2(), Huber(0.7)]
 LOSS_NAMES = dict(zip(("l1", "l2", "huber"), LOSSES))
 
 
-def _reference(stream, row, model, theta0):
-    """One estimator stepped observation by observation with sgd_step."""
-    state = SgdState.start(theta0, row.loss)
+def _reference(stream, row, model):
+    """One estimator stepped observation by observation with sgd_step, from 0 as the engine."""
+    state = SgdState.start(np.zeros(model.d), row.loss)
     plan = set(row.plan.tolist())
     errs, min_r = [], math.inf
     h, theta_star = model.design.h, model.theta_star
@@ -118,7 +118,7 @@ def engine_configs(draw):
 
 
 def _engine_streams(d, n, streams):
-    """Each drawn stream's model, (X, y, corrupted) arrays and rows, and a theta0."""
+    """Each drawn stream's model, (X, y, corrupted) arrays and rows."""
     built = []
     for data_seed, rate, covariance, rows in streams:
         rng = np.random.default_rng(data_seed)
@@ -136,18 +136,17 @@ def _engine_streams(d, n, streams):
                 plan = np.sort(picks) + 1
             estimators.append(Estimator(LOSS_NAMES[loss], StepSchedule(gamma0 / d, kind), n_steps, plan, clean_only))
         built.append((model, (x, np.where(corrupted, y + 50.0, y), corrupted), estimators))
-    return built, np.random.default_rng(n).standard_normal(d)
+    return built
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(engine_configs())
 def test_engine_rows_match_separate_reference_loops(config):
-    streams, theta0 = _engine_streams(*config)
-    models, arrays, grid = zip(*streams)
-    records = run_batch(grid, stacked_chunks([array_chunks(*a) for a in arrays], theta0.size), models, theta0)
+    models, arrays, grid = zip(*_engine_streams(*config))
+    records = run_batch(grid, stacked_chunks([array_chunks(*a) for a in arrays], models[0].d), models)
     for model, stream, rows, recs in zip(models, arrays, grid, records):
         for row, rec in zip(rows, recs):
-            errs, state, min_r = _reference(stream, row, model, theta0)
+            errs, state, min_r = _reference(stream, row, model)
             scale = np.linalg.norm(model.theta_star) + np.sqrt(errs[1])
             assert np.array_equal(rec.steps, row.plan)
             assert _same_distance(rec.err_h, errs[0], scale)
@@ -174,11 +173,10 @@ def test_engine_trajectories_match_the_reference_at_wide_dimensions(d):
         x, y, _ = sample_arrays(model, n, seed=10 * d + s)
         corrupted = rng.random(n) < 0.2
         arrays.append((x, np.where(corrupted, y + 50.0, y), corrupted))
-    theta0 = rng.standard_normal(d)
-    records = run_batch([rows] * 3, stacked_chunks([array_chunks(*a) for a in arrays], d), models, theta0)
+    records = run_batch([rows] * 3, stacked_chunks([array_chunks(*a) for a in arrays], d), models)
     for model, stream, recs in zip(models, arrays, records):
         for row, rec in zip(rows, recs):
-            _, state, min_r = _reference(stream, row, model, theta0)
+            _, state, min_r = _reference(stream, row, model)
             assert np.array_equal(rec.theta_last, state.theta), (d, loss_label(row.loss))
             assert rec.min_abs_residual == min_r
 
@@ -396,14 +394,40 @@ def test_oracle_names_a_nan_clean_response(clean_model):
         oracle_ls_run(stream, 0.05, model=clean_model)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_a_non_finite_theta0_is_refused_by_name(bad, clean_model):
-    theta0 = [bad, 0.0, 0.0]
-    with pytest.raises(ValueError, match="theta0 must be finite"):
-        run(clean_model, L1(), StepSchedule(0.3), 50, theta0=theta0)
+def test_rows_of_another_dimension_than_the_model_are_refused_by_name(clean_model):
+    flat = RegressionModel(np.array([0.5, -0.5]), Identity(2), 1.0, no_outliers())
+    refused = r"chunk has X \(50, 1, 3\), .* but the grid has stream count 1 and the models dimension 2$"
     chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50)], clean_model.d)
-    with pytest.raises(ValueError, match="theta0 must be finite"):
-        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], chunks, [clean_model], theta0)
+    with pytest.raises(ValueError, match=refused):
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], chunks, [flat])
+    stream = sample_arrays(clean_model, 50, seed=1)
+    with pytest.raises(ValueError, match=refused):
+        run(stream, L1(), StepSchedule(0.3), 50, model=flat)
+    with pytest.raises(ValueError, match=refused):
+        run(clean_model, L1(), StepSchedule(0.3), 50, model=flat)
+    with pytest.raises(ValueError, match=refused):
+        oracle_ls_run(stream, 0.05, model=flat)
+
+
+@pytest.mark.parametrize("drawn, stepped", [(2, 1), (1, 2)])
+def test_chunks_of_another_stream_count_than_the_grid_are_refused_by_name(drawn, stepped, clean_model):
+    chunks = stacked_chunks([_chunk_arrays(clean_model, s, 50) for s in range(drawn)], clean_model.d)
+    refused = rf"chunk has X \(50, {drawn}, 3\), .* but the grid has stream count {stepped} and the models dimension 3$"
+    with pytest.raises(ValueError, match=refused):
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]] * stepped, chunks, [clean_model] * stepped)
+
+
+def test_chunk_arrays_that_disagree_are_refused_by_name(clean_model):
+    x, y, corrupted = np.zeros((50, 1, 3)), np.zeros((40, 1)), np.zeros((50, 1), dtype=bool)
+    with pytest.raises(ValueError, match=r"chunk has X \(50, 1, 3\), y \(40, 1\) and corrupted \(50, 1\), but"):
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], [(x, y, corrupted)], [clean_model])
+
+
+def test_record_iterates_is_keyword_only(clean_model):
+    # a start passed by position, as run_batch once took one, is not read as the flag
+    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50)], clean_model.d)
+    with pytest.raises(TypeError):
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], chunks, [clean_model], np.zeros(3))
 
 
 def test_l2_divergence_fails_loudly():

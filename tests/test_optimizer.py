@@ -15,7 +15,7 @@ from streamrobust.core import (
     point_outliers,
 )
 from streamrobust.datagen import sample_arrays
-from streamrobust.optimizer import default_checkpoints, default_gamma0, oracle_ls_run, run
+from streamrobust.optimizer import default_checkpoints, default_gamma0, oracle_ls_run, oracle_row, run, sgd_row
 
 from scalar_reference import SgdState, sgd_step
 
@@ -115,6 +115,26 @@ def test_default_gamma0(spectrum_model):
 
 
 # ---------------------------------------------------------------------------
+# rows and their digests
+
+
+@pytest.mark.parametrize(
+    "model_name, l1, huber, oracle",
+    [
+        ("clean_model", "2bdec5c934c49d3f", "08a5035c5be99e2e", "d7c188a5bd35eb06"),
+        ("spectrum_model", "2a60e4aadc63c05b", "df94ce8fc99dc917", "13cf894abdc29573"),
+    ],
+)
+def test_row_digests_keep_their_bytes(model_name, l1, huber, oracle, request):
+    # the digests every table and manifest.csv carry; they still hash the zero start
+    model = request.getfixturevalue(model_name)
+    assert sgd_row(L1(), StepSchedule(0.3), 1000, 7, model).digest == l1
+    assert sgd_row(Huber(0.5), StepSchedule(0.2, CONSTANT), 500, 3, model, [10, 100, 500]).digest == huber
+    assert oracle_row(0.05, 800, 1000, model).digest == oracle
+    assert run(model, L1(), StepSchedule(0.3), 1000, seed=7).config_digest == l1
+
+
+# ---------------------------------------------------------------------------
 # full runs
 
 
@@ -182,14 +202,10 @@ def test_stream_arrays_must_agree_in_length(clean_model):
 
 
 def test_run_theta0_and_iterates(clean_model):
-    theta0 = np.array([5.0, 5.0, 5.0])
-    rec = run(
-        clean_model, L1(), StepSchedule(0.3), 50, seed=4, theta0=theta0, record_iterates=True
-    )
+    # every row starts at 0
+    rec = run(clean_model, L1(), StepSchedule(0.3), 50, seed=4, record_iterates=True)
     assert rec.iterates.shape == (50, 3)
-    assert np.array_equal(rec.iterates[0], theta0)
-    with pytest.raises(ValueError, match="dimension"):
-        run(clean_model, L1(), StepSchedule(0.3), 50, seed=4, theta0=np.zeros(2))
+    assert np.array_equal(rec.iterates[0], np.zeros(3))
 
 
 def test_run_converges_on_clean_stream(clean_model):

@@ -1,0 +1,33 @@
+"""Checks on the package source itself, with the standard library only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "streamrobust"
+
+
+def unused_imports(source: str):
+    """Names a module imports but never reads, as a Name or as the base of an attribute chain."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_check_finds_an_unused_import():
+    source = "from __future__ import annotations\nimport os.path\nfrom math import pi, tau\nprint(os.sep, pi)\n"
+    assert unused_imports(source) == [(3, "tau")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_a_module_imports_no_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []
