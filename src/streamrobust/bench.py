@@ -379,20 +379,19 @@ def _experiment_records(cfg, names, cells, jobs) -> List[Dict[str, RunRecord]]:
     processes take whole calls. A stream's records do not depend on which
     streams share its call, so the split changes no bit.
     """
-    workers = 1 if jobs is None else max(1, jobs)
     per_call = max(1, _BYTES_PER_CALL // _stream_bytes(cfg, names))
-    count = max(math.ceil(len(cells) / per_call), min(workers, len(cells)))
+    count = max(math.ceil(len(cells) / per_call), min(jobs, len(cells)))
     size = math.ceil(len(cells) / count)
     # calls of `size` cells, but never fewer than `count`: where that would
     # leave calls empty, the last ones take one cell each
     bounds = [min(i * size, len(cells) - count + i) for i in range(count + 1)]
     calls = [(cfg, names, cells[a:b]) for a, b in zip(bounds, bounds[1:])]
-    if workers > 1 and len(calls) > 1:
+    if jobs > 1 and len(calls) > 1:
         # imported here: the pool machinery is about 30 modules and 1.5 MB of
         # RSS that a serial run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
             done = list(pool.map(_cell_records, calls))
     else:
         done = [_cell_records(call) for call in calls]

@@ -65,15 +65,12 @@ def _env_seed() -> Optional[int]:
     return value
 
 
-def _resolve_seed(flag_seed: Optional[int], config_seed: Optional[int], default: int) -> int:
+def _resolve_seed(flag_seed: Optional[int], fallback: int) -> int:
+    """The --seed flag, else STREAMROBUST_SEED, else the fallback: the config's seed, or verify's default."""
     if flag_seed is not None:
         return flag_seed
     env = _env_seed()
-    if env is not None:
-        return env
-    if config_seed is not None:
-        return config_seed
-    return default
+    return fallback if env is None else env
 
 
 def _read_config_section(path: Optional[str], section: str) -> Dict[str, str]:
@@ -136,7 +133,7 @@ def _prepare_out_dir(raw: str) -> Path:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.only is not None and args.only not in CHECK_GROUPS:
         return _fail_usage(f"unknown check {args.only!r}; available: {', '.join(CHECK_GROUPS)}")
-    seed = _resolve_seed(args.seed, None, DEFAULT_SUITE_SEED)
+    seed = _resolve_seed(args.seed, DEFAULT_SUITE_SEED)
     out = None if args.out is None else _prepare_out_dir(args.out)
     results = run_suite(seed=seed, only=args.only)
     passed = suite_passed(results)
@@ -159,7 +156,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     if args.svg and 0.0 in getattr(cfg, "eta_grid", ()):
         return _fail_usage("--svg draws eta on a log axis, so eta_grid must not contain 0.0")
-    cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed, cfg.seed))
+    cfg = replace(cfg, seed=_resolve_seed(args.seed, cfg.seed))
     out = _prepare_out_dir(args.out)
 
     # looked up when the command runs, so the function bound to the name in this module then is the one called

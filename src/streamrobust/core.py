@@ -390,7 +390,8 @@ class RunRecord:
     steps holds strictly increasing iteration counts; err_h, err_2 and
     err_last_h hold the squared H-norm error of the averaged iterate, its
     squared Euclidean error, and the squared H-norm error of the last
-    iterate at those counts.
+    iterate at those counts. iterates, when recorded, holds the iterate
+    before each row of the stream, one (rows, d) array.
     """
 
     steps: np.ndarray

@@ -37,18 +37,19 @@ coefficients, in whole-grid array operations.
 
 Chunks come from `datagen.stacked_chunks`: each is written in place into a
 stream-major buffer and read as a (rows, S, d) view, so a stream's rows are
-contiguous and nothing is copied to step them. Every row starts at 0 and is
-built by one of two builders, which also give it its config digest:
-`sgd_row` for averaged SGD on a loss and `oracle_row` for the clean-data
-least-squares oracle. `run` and `oracle_ls_run` drive the engine for one
-such row, on a model (drawn chunk by chunk) or on a stored (X, y, corrupted)
-triple.
+contiguous and nothing is copied to step them. Every row starts at 0,
+checks its step count and plan once, as its `Estimator` is made, and is
+built with its config digest by `sgd_row` (averaged SGD on a loss) or
+`oracle_row` (the clean-data least-squares oracle). A recorded path holds
+each row's iterate before every row of its stream. `run` and `oracle_ls_run`
+drive the engine for one such row, on a model (drawn chunk by chunk) or on
+a stored (X, y, corrupted) triple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -133,43 +134,41 @@ class Estimator:
     that it may read, so n_steps is their count: every row, or for a
     clean_only row (the least-squares oracle) every row not flagged as
     corrupted. A clean_only row's step counter, step sizes, checkpoints,
-    average and min |r| all count its own steps. The plan defaults to the
-    geometric grid over n_steps.
+    average and min |r| all count its own steps. n_steps and the plan are
+    checked here, once; a plan of None becomes the geometric grid over n_steps.
     """
 
     loss: Loss
     schedule: StepSchedule
     n_steps: int
-    checkpoint_plan: Optional[np.ndarray] = None
+    plan: Optional[np.ndarray] = None
     clean_only: bool = False
     digest: str = ""
-    plan: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _step_count(self.n_steps)
+        object.__setattr__(self, "n_steps", _step_count(self.n_steps))
         if not isinstance(self.loss, (L1, L2, Huber)):
             raise TypeError(f"not a loss: {self.loss!r}")
-        object.__setattr__(self, "plan", _validated_checkpoints(self.checkpoint_plan, self.n_steps))
+        object.__setattr__(self, "plan", _validated_checkpoints(self.plan, self.n_steps))
 
 
 def sgd_row(loss: Loss, schedule: StepSchedule, n_steps: int, seed, model: RegressionModel, plan=None) -> Estimator:
     """Averaged SGD on `loss` from 0, on the plan (the geometric grid by default), with its config digest."""
-    n_steps = _step_count(n_steps)
-    plan = _validated_checkpoints(plan, n_steps)
+    row = Estimator(loss, schedule, n_steps, plan)
     digest = short_digest(
         [
             "run",
             loss_label(loss),
             schedule.kind,
             schedule.gamma0.hex(),
-            n_steps,
+            row.n_steps,
             seed,
             model.fingerprint(),
             np.zeros(model.d),  # the start, so that digests keep their bytes
-            plan,
+            row.plan,
         ]
     )
-    return Estimator(loss, schedule, n_steps, plan, digest=digest)
+    return replace(row, digest=digest)
 
 
 def oracle_row(gamma0: float, n_clean: int, n_offered: int, model: RegressionModel) -> Estimator:
@@ -269,8 +268,9 @@ def run_batch(
     and min |r| follow in closed form, for every row at once. Memory stays
     bounded by the chunk size whatever the stream length or the plans, and
     a stream's records do not depend on which streams share the call.
-    Returns records as grid[s][r]. Raises NonFiniteError on any non-finite
-    response (naming its stream index) or a diverged iterate.
+    Returns records as grid[s][r], with the row's iterate before every row of
+    its stream if record_iterates. Raises NonFiniteError on a non-finite
+    response or feature (naming its stream index) or a diverged iterate.
     """
     s_count, r_count = len(models), len(grid[0]) if len(grid) else 0
     if not s_count or len(grid) != s_count or not r_count or any(len(rows) != r_count for rows in grid):
@@ -298,7 +298,7 @@ def run_batch(
     due = plan[col]  # per row: its step count there, or past n_steps once it has read its last
     theta_star = np.array([m.theta_star for m in models])
     hs = [None if isinstance(m.covariance, Identity) else m.design.h for m in models]
-    paths = [] if record_iterates else None  # per chunk: the iterates before each row, and who stepped
+    paths = [] if record_iterates else None  # per chunk: every row's iterates before each stream row
 
     theta = np.zeros((s_count, r_count, d))
     tmp = np.empty_like(theta)
@@ -384,7 +384,7 @@ def run_batch(
                 begin = stop + 1
                 read(np.flatnonzero(due_at == stop), begin)
         if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
-            _raise_divergence(grid, rb, theta, eligible, done)
+            _raise_divergence(grid, x, rb, theta, eligible, done, seen - b)
         del scale, bound  # the chain's inputs: the sums below do not need them
 
         if paths is not None:
@@ -392,7 +392,7 @@ def run_batch(
             path[0] = start
             np.multiply(cb[:-1, :, :, None], x[:-1, :, None, :], out=path[1:])
             np.cumsum(path, axis=0, out=path)
-            paths.append((path.reshape(b, k_count, d), eligible.reshape(b, k_count)))
+            paths.append(path.reshape(b, k_count, d))
 
         # per row: sum over the chunk of (taken - own_l) coef_l x_l
         moved = np.array([((taken[s] - own[:, s]) * cb[:, s]).T @ xs[s] for s in range(s_count)])
@@ -408,28 +408,32 @@ def run_batch(
             f"{done[s, r]} of {n_steps[s, r]} steps"
         )
     check_errors(errs)  # every record's at once; each plan was checked when its Estimator was made
-    if paths is not None:  # each row's iterates at the stream rows it stepped on; a view when it stepped on all
-        path, stepped = (np.concatenate(parts) if len(parts) > 1 else parts[0] for parts in zip(*paths))
-        iterates = [path[:, k] if stepped[:, k].all() else path[stepped[:, k], k] for k in range(k_count)]
+    if paths is not None:  # each row's iterate before each stream row, as a view
+        path = np.concatenate(paths) if len(paths) > 1 else paths[0]
     theta_bar = (sums / n_steps[:, :, None]).reshape(k_count, d)
     theta_last, min_r = theta.reshape(k_count, d).copy(), min_r.reshape(k_count).tolist()
     records = [
         RunRecord.checked(
             steps=row.plan, err_h=(err := errs[:, at[k] : at[k + 1]])[0], err_2=err[1], err_last_h=err[2],
             config_digest=row.digest, theta_bar=theta_bar[k], theta_last=theta_last[k],
-            min_abs_residual=min_r[k], iterates=None if paths is None else iterates[k],
+            min_abs_residual=min_r[k], iterates=None if paths is None else path[:, k],
         )
         for k, row in enumerate(rows)
     ]
     return [records[s * r_count : (s + 1) * r_count] for s in range(s_count)]
 
 
-def _raise_divergence(grid, residuals, theta, eligible, done) -> None:
+def _raise_divergence(grid, x, residuals, theta, eligible, done, offset) -> None:
+    """Name the first non-finite feature of the stream up to the bad row, else the row that diverged."""
     bad = np.argwhere(~np.isfinite(residuals))
     if bad.size:
         i, s, r = bad[0]
     else:  # the chunk's last update overflowed
         i, (s, r) = residuals.shape[0] - 1, np.argwhere(~np.isfinite(theta).all(axis=2))[0]
+    if (odd := np.argwhere(~np.isfinite(x[: i + 1, s]))).size:  # it poisons rows that skip it as well
+        j, f = odd[0]
+        where = f" of stream {s}" if len(grid) > 1 else ""
+        raise NonFiniteError(f"non-finite feature {float(x[j, s, f])!r} at stream index {offset + j}{where}")
     row = grid[s][r]
     step = int(done[s, r] + np.count_nonzero(eligible[: i + 1, s, r]))
     raise NonFiniteError(
@@ -467,23 +471,21 @@ def run(
 
     `source` is either a model (a fresh seeded stream is generated from it,
     chunk by chunk) or an (X, y, corrupted) triple, of which the first
-    n_steps rows are used; `model` must then be given so errors can be
-    measured. Deterministic: identical arguments produce a bit-identical
-    record.
+    n_steps rows are used (the engine refuses a shorter one); `model` must
+    then be given so errors can be measured. Deterministic: identical
+    arguments produce a bit-identical record.
     """
-    n_steps = _step_count(n_steps)
-    if isinstance(source, RegressionModel):
-        if model is None:
-            model = source
-        chunks = stacked_chunks([_chunk_arrays(source, seed, n_steps)], source.d)
-    else:
-        if model is None:
-            raise ValueError("a reference model is required when running from stream arrays")
-        x, y, corrupted = _stream_arrays(source)
-        if y.size < n_steps:
-            raise ValueError(f"stream ended after {y.size} samples, {n_steps} steps requested")
-        chunks = stacked_chunks([array_chunks(x[:n_steps], y[:n_steps], corrupted[:n_steps])], x.shape[1])
+    drawn = isinstance(source, RegressionModel)
+    if drawn and model is None:
+        model = source
+    elif model is None:
+        raise ValueError("a reference model is required when running from stream arrays")
     row = sgd_row(loss, schedule, n_steps, seed, model, checkpoint_plan)
+    if drawn:
+        chunks = stacked_chunks([_chunk_arrays(source, seed, row.n_steps)], source.d)
+    else:
+        x, y, corrupted = (a[: row.n_steps] for a in _stream_arrays(source))
+        chunks = stacked_chunks([array_chunks(x, y, corrupted)], x.shape[1])
     ((record,),) = run_batch([[row]], chunks, [model], record_iterates=record_iterates)
     return record
 

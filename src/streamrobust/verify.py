@@ -316,18 +316,16 @@ def check_moment_bounds(
               for a in range(0, n, CHUNK)]
     row = sgd_row(L1(), schedule, n, seed, model, plan=[n])
     records = run_batch([[row]] * replications, chunks, [model] * replications, record_iterates=True)
-    iterates = np.stack([rec.iterates for (rec,) in records])
-    last = np.stack([rec.theta_last for (rec,) in records])
-
     checkpoints = default_checkpoints(n)
+    # per checkpoint k, each replication's iterate after k steps: before row k, or the last one at k = n
+    theta_ks = np.stack([np.vstack([rec.iterates[checkpoints[:-1]], rec.theta_last]) for (rec,) in records], axis=1)
     gamma0 = schedule.gamma0
     r2 = model.design.r2
     dist0sq = float(np.sum(theta_star**2))
 
     worst_z2 = -math.inf
     worst_z4 = -math.inf
-    for k in checkpoints.tolist():
-        theta_k = iterates[:, k] if k < n else last  # the iterates after k steps
+    for k, theta_k in zip(checkpoints.tolist(), theta_ks):
         sq = np.sum((theta_k - theta_star) ** 2, axis=1)
         ln_ek = 1.0 + math.log(k)
         c_k = dist0sq + gamma0**2 * r2 * ln_ek

@@ -26,7 +26,6 @@ from streamrobust.core import (
     Huber,
     Identity,
     L1,
-    L2,
     OutlierDistribution,
     PointMass,
     RegressionModel,

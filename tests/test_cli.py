@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from streamrobust.bench import ConvergenceConfig, convergence_experiment

@@ -26,7 +26,7 @@ from streamrobust.core import (
     point_outliers,
 )
 from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays, stacked_chunks
-from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
+from streamrobust.optimizer import Estimator, oracle_ls_run, oracle_row, run, run_batch
 
 from scalar_reference import SgdState, sgd_step
 
@@ -392,6 +392,41 @@ def test_oracle_names_a_nan_clean_response(clean_model):
     stream = _with_nan_response(clean_model, 500, at=7)
     with pytest.raises(NonFiniteError, match="stream index 7"):
         oracle_ls_run(stream, 0.05, model=clean_model)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_feature_is_named_instead_of_a_divergence(value, clean_model):
+    x, y, b = sample_arrays(clean_model, 2000, seed=3)
+    x[1500, 1] = value
+    named = rf"^non-finite feature {re.escape(repr(value))} at stream index 1500$"
+    for loss in LOSSES:
+        with pytest.raises(NonFiniteError, match=named):
+            run((x, y, b), loss, StepSchedule(0.3), 2000, model=clean_model)
+    with pytest.raises(NonFiniteError, match=named):
+        oracle_ls_run((x, y, b), 0.05, model=clean_model)
+    # a clean_only row skips a corrupted row's step, but its residual there is non-finite and r * 0 is NaN
+    b[1500] = 1.0
+    rows = [[oracle_row(0.05, 1999, 2000, clean_model)], [oracle_row(0.05, 2000, 2000, clean_model)]]
+    clean = np.zeros(2000)
+    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(x, y, clean)], clean_model.d)
+    with pytest.raises(NonFiniteError, match=named[:-1] + " of stream 0$"):
+        run_batch(rows, chunks, [clean_model] * 2)
+
+
+def test_iterates_are_the_iterate_before_every_stream_row_for_a_clean_only_row(point_model):
+    x, y, b = sample_arrays(point_model, 300, seed=5)
+    n_clean = int(np.count_nonzero(b == 0.0))
+    ((rec,),) = run_batch(
+        [[oracle_row(0.05, n_clean, 300, point_model)]], stacked_chunks([array_chunks(x, y, b)], 4), [point_model],
+        record_iterates=True,
+    )
+    assert rec.iterates.shape == (300, 4)
+    state = SgdState.start(np.zeros(4), L2())
+    for k, (x_k, y_k, b_k) in enumerate(zip(x, y, b)):
+        assert np.array_equal(rec.iterates[k], state.theta)
+        if b_k == 0.0:
+            sgd_step(state, x_k, y_k, StepSchedule(0.05, CONSTANT))
+    assert np.array_equal(rec.theta_last, state.theta)
 
 
 def test_rows_of_another_dimension_than_the_model_are_refused_by_name(clean_model):

@@ -11,11 +11,10 @@ from streamrobust.core import (
     L2,
     RegressionModel,
     StepSchedule,
-    no_outliers,
     point_outliers,
 )
 from streamrobust.datagen import sample_arrays
-from streamrobust.optimizer import default_checkpoints, default_gamma0, oracle_ls_run, oracle_row, run, sgd_row
+from streamrobust.optimizer import Estimator, default_checkpoints, default_gamma0, oracle_ls_run, oracle_row, run, sgd_row
 
 from scalar_reference import SgdState, sgd_step
 
@@ -183,8 +182,19 @@ def test_run_names_a_plan_or_step_count_that_is_not_whole(clean_model, n_steps, 
 
 def test_run_exhausted_stream_raises(clean_model):
     stream = sample_arrays(clean_model, 10, seed=2)
-    with pytest.raises(ValueError, match="stream ended after 10 samples"):
+    # the engine's refusal, the only check of a stream's length
+    with pytest.raises(ValueError, match=r"^stream ended after 10 samples with l1 at 10 of 11 steps$"):
         run(stream, L1(), StepSchedule(0.3), 11, model=clean_model)
+
+
+def test_an_estimator_keeps_its_checked_step_count_and_plan(clean_model):
+    row = Estimator(L1(), StepSchedule(0.3), 100.0)
+    assert type(row.n_steps) is int and row.n_steps == 100
+    assert np.array_equal(row.plan, default_checkpoints(100)) and row.plan.dtype == np.int64
+    # the row hashes what it checked: a whole float step count and plan digest as their ints
+    row = sgd_row(L1(), StepSchedule(0.3), 100.0, 1, clean_model, [10.0, 100.0])
+    assert type(row.n_steps) is int and row.plan.tolist() == [10, 100]
+    assert row.digest == sgd_row(L1(), StepSchedule(0.3), 100, 1, clean_model, [10, 100]).digest
 
 
 def test_run_requires_model_for_raw_stream(clean_model):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "streamrobust"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(ROOT.glob("src/streamrobust/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str):
@@ -28,6 +29,6 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == [(3, "tau")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_a_module_imports_no_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []

@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -8,7 +7,6 @@ from streamrobust.analytic import expected_loss, gradient, hessian_at_optimum
 from streamrobust.core import (
     CONSTANT,
     Identity,
-    INV_SQRT,
     RegressionModel,
     StepSchedule,
     no_outliers,
