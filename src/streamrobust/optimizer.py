@@ -16,24 +16,24 @@ influence function,
 
     psi(r) = clip(r * s, -lo, lo):  L1 s = inf, lo = 1;  L2 lo = inf;  Huber lo = tau,
 
-and the per-row loop keeps only the dependent chain (residual, influence,
-rank-one update), pausing at the rows where checkpoints fall. The chain
-is six numpy calls per stream row on same-shape (S, R) operands: the
-responses are laid out across the R estimators beforehand, so nothing
-broadcasts them, and the residual's dot products come from `np.vecdot`,
-which makes one unit-stride BLAS ddot per (stream, estimator) pair, as the
-scalar `x @ theta` does, and so matches it bit for bit. The tests hold a
-one-observation scalar reference that the engine is checked against, bit
-for bit on the trajectory.
+and the per-row loop, `_advance`, keeps only the dependent chain (residual,
+influence, rank-one update): six numpy calls per stream row on same-shape
+(S, R) operands, which match the tests' one-observation scalar reference
+bit for bit on the trajectory.
 
-A checkpoint is read whole where the chain pauses for it: its average from
-the running sum, the chunk's start and one gemv of its stream's rows, its
-last iterate from the chain, and its three errors from `np.vecdot` (an
-identity design's H form is the squared norm, with no product by I). A
-vecdot value is one ddot, whatever else shares the call, so a record does
-not depend on the chunk size, on its other checkpoints or on the streams
-beside it. The running sums and min |r| are closed forms of each chunk's
-coefficients, in whole-grid array operations.
+Per chunk, `run_batch` calls named parts. `_Grid` holds the rows as (S, R)
+arrays, their plans end to end and each row's checkpoint cursor;
+`_own_steps` and `_step_sizes` lay out where each row steps and how far;
+`_pauses` yields the chunk rows where some row reaches a checkpoint and
+moves those rows' cursors once per pause. There each checkpoint is read
+whole: its average from the running sum, the chunk's start and one gemv
+of its stream's rows, and its errors from `_errors`, one `np.vecdot` (a
+ddot) each, so a record does not depend on the chunk size, its other
+checkpoints or the streams beside it. The running sums and min |r| are
+closed forms of each chunk's coefficients. No pass scans the data for
+non-finite values: a non-finite response or feature leaves a non-finite
+residual in every row, and only then does `_raise_divergence` name the
+earliest poisoned row, its response before its features.
 
 Chunks come from `datagen.stacked_chunks`: each is written in place into a
 stream-major buffer and read as a (rows, S, d) view, so a stream's rows are
@@ -49,6 +49,7 @@ a stored (X, y, corrupted) triple.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -235,6 +236,98 @@ def _advance(theta, x, y, scale, lo, r_out, c_out, window, tmp) -> None:
         c_out[a : a + n] = buf["c"][:n]
 
 
+class _Grid:
+    """The grid's rows as (S, R) arrays, their plans laid end to end, and their checkpoint cursors.
+
+    Row k = s R + r. Its errors are columns at[k] to at[k + 1] of errs; col[k], its cursor, is the column
+    of its next, and marks[col[k] + k] that checkpoint's step, or n_steps + 1 once it has read its last.
+    """
+
+    def __init__(self, grid: Sequence[Sequence[Estimator]], models: Sequence[RegressionModel]):
+        s_count, r_count = len(models), len(grid[0]) if len(grid) else 0
+        if not s_count or len(grid) != s_count or not r_count or any(len(rows) != r_count for rows in grid):
+            raise ValueError(f"need one model and the same number of rows for each stream, got {s_count} models")
+        self.grid, self.shape, self.d = grid, (s_count, r_count), models[0].d
+        if any(m.d != self.d for m in models):
+            raise ValueError("every stream's model must have the same dimension")
+        self.rows = rows = [row for stream in grid for row in stream]
+        self.n_steps = np.array([row.n_steps for row in rows], np.int64).reshape(self.shape)
+        self.clean_only = np.array([row.clean_only for row in rows], bool).reshape(self.shape)
+        self.is_l1 = np.array([isinstance(row.loss, L1) for row in rows], bool).reshape(self.shape)
+        tau = [getattr(row.loss, "tau", math.inf) for row in rows]  # L2 has none: it clips nowhere
+        self.lo = np.where(self.is_l1, 1.0, np.reshape(tau, self.shape))
+        self.gamma0 = np.array([row.schedule.gamma0 for row in rows], float).reshape(self.shape)
+        self.constant = np.array([row.schedule.kind == CONSTANT for row in rows], bool).reshape(self.shape)
+        self.at = np.cumsum([0] + [row.plan.size for row in rows])
+        self.errs, self.col = np.empty((3, self.at[-1])), self.at[:-1].copy()
+        self.marks = np.concatenate([part for row in rows for part in (row.plan, [row.n_steps + 1])])
+        self.theta_star = np.array([m.theta_star for m in models])
+        self.hs = [None if isinstance(m.covariance, Identity) else m.design.h for m in models]
+
+
+def _own_steps(g, x, y, corrupted, done, seen):
+    """Which rows step on each chunk row, and their own steps so far; a ValueError names a misfit or an over-run."""
+    if x.shape[1:] != (g.shape[0], g.d) or y.shape != x.shape[:2] or np.shape(corrupted) != y.shape:
+        raise ValueError(
+            f"chunk has X {x.shape}, y {y.shape} and corrupted {np.shape(corrupted)}, "
+            f"but the grid has stream count {g.shape[0]} and the models dimension {g.d}"
+        )
+    eligible = ~(g.clean_only[None] & np.asarray(corrupted, dtype=bool)[:, :, None])
+    own = eligible.astype(np.int64)
+    np.cumsum(own, axis=0, out=own)  # a cumsum in place is about 3x faster
+    if np.any(over := done + own[-1] > g.n_steps):  # a row's n_steps are all the rows it may read
+        s, r = np.argwhere(over)[0]
+        i = seen + int(np.argmax(own[:, s, r] + done[s, r] > g.n_steps[s, r]))
+        raise ValueError(
+            f"stream runs past the n_steps={g.n_steps[s, r]} of {loss_label(g.grid[s][r].loss)} at stream index {i}"
+        )
+    return eligible, own
+
+
+def _step_sizes(g, eligible, own, done):
+    """Each row's residual scale and coefficient bound on each chunk row, both 0 where it does not step."""
+    gamma = np.sqrt(own + done)  # own step index, 0 only where a row does not step; in place from here
+    np.maximum(gamma, 1.0, out=gamma)
+    np.divide(g.gamma0, gamma, out=gamma)
+    np.copyto(gamma, g.gamma0, where=g.constant)
+    scale = np.where(g.is_l1, _SIGN_SCALE, gamma)
+    bound = np.multiply(gamma, g.lo, out=gamma)
+    scale[~eligible], bound[~eligible] = 0.0, 0.0
+    return scale, bound
+
+
+def _pauses(g, own, done):
+    """Yield (i, reads) at each chunk row i where some row reaches its next checkpoint, and at the last.
+
+    reads holds (k, column, t, n) for each such row k, n steps in and t of them in the chunk. Once
+    the caller has read them, all their cursors move on in one step.
+    """
+    b, every = own.shape[0], np.arange(g.col.size)
+    before, first = done.reshape(every.size), every * b
+    # each row's chunk row of its next checkpoint (b or more if it is not in the chunk), found in one
+    # search of the rows' nondecreasing step counts laid end to end, row k's offset by k (b + 1)
+    keys = (own.reshape(b, every.size).T + (first + every)[:, None]).ravel()
+    shift = first + every - before  # a step count's key in row k's part of keys
+    due_at = np.searchsorted(keys, g.marks[g.col + every] + shift) - first
+    while True:
+        i = min(int(due_at.min()), b - 1)
+        k = np.flatnonzero(due_at == i)
+        c = g.col[k]
+        n = g.marks[c + k]
+        yield i, zip(k.tolist(), c.tolist(), (n - before[k]).tolist(), n.tolist())
+        g.col[k] = c = c + 1
+        due_at[k] = np.searchsorted(keys, g.marks[c + k] + shift[k]) - first[k]
+        if i == b - 1:
+            return
+
+
+def _errors(bar, last, h) -> tuple:
+    """(err_H, err_2, err_last_H), each value one vecdot, a ddot, whatever the call holds; h is None for I."""
+    if h is None:  # diff . (diff @ I) is diff . diff bit for bit
+        return (norm := vecdot(bar, bar)), norm, vecdot(last, last)
+    return vecdot(bar, vecdot(bar, h)), vecdot(bar, bar), vecdot(last, vecdot(last, h))
+
+
 def run_batch(
     grid: Sequence[Sequence[Estimator]],
     chunks: Iterable[tuple],
@@ -250,189 +343,105 @@ def run_batch(
     row. `datagen.stacked_chunks` yields them as views of a stream-major
     buffer, X (S, CHUNK, d), so each stream's rows X[:, s] are contiguous,
     and writes the next chunk over the last: the engine is done with a chunk
-    before it asks for the next. A ValueError names a chunk whose arrays
-    disagree with each other, or in stream count or dimension with the grid
-    and the models.
+    before it asks for the next.
 
     Every row starts at 0 and steps on each stream row that it may read, to
     the end of its stream: all of them, or the clean ones for a clean_only
-    row. A ValueError names a row whose stream runs past its n_steps, or ends
-    short of them.
-
-    Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its step
-    coefficient; masks and step sizes are laid out per chunk, then `_advance`
-    runs the chunk, pausing after each row where some row reaches a
-    checkpoint. There each checkpoint reached is read whole, its average and
-    errors from the chunk's coefficients so far, so no array grows with the
-    checkpoints; after the chain, the running sums of pre-update iterates
-    and min |r| follow in closed form, for every row at once. Memory stays
-    bounded by the chunk size whatever the stream length or the plans, and
-    a stream's records do not depend on which streams share the call.
+    row. Row (s, r) takes gamma_sr times clip(r s_sr, -lo_sr, lo_sr) as its
+    step coefficient. Each chunk goes through the parts the module docstring
+    names; memory stays bounded by the chunk size whatever the stream length
+    or the plans, and a stream's records do not depend on its call mates.
     Returns records as grid[s][r], with the row's iterate before every row of
-    its stream if record_iterates. Raises NonFiniteError on a non-finite
-    response or feature (naming its stream index) or a diverged iterate.
+    its stream if record_iterates. A ValueError names a chunk unlike the grid
+    and the models, or a row whose stream runs past its n_steps or ends short
+    of them; a NonFiniteError names a non-finite response or feature by its
+    stream index, or a diverged iterate.
     """
-    s_count, r_count = len(models), len(grid[0]) if len(grid) else 0
-    if not s_count or len(grid) != s_count or not r_count or any(len(rows) != r_count for rows in grid):
-        raise ValueError(f"need one model and the same number of rows for each stream, got {s_count} models")
-    d = models[0].d
-    if any(m.d != d for m in models):
-        raise ValueError("every stream's model must have the same dimension")
-    # row k = s R + r; its checkpoints are plan[at[k] : at[k + 1]], their errors those columns of errs
-    rows = [row for stream in grid for row in stream]
-    k_count = len(rows)
-
-    def row_array(values, dtype=float) -> np.ndarray:
-        return np.array(values, dtype=dtype).reshape(s_count, r_count)
-
-    n_steps = row_array([row.n_steps for row in rows], np.int64)
-    clean_only = row_array([row.clean_only for row in rows], bool)
-    is_l1 = row_array([isinstance(row.loss, L1) for row in rows], bool)
-    lo = row_array([1.0 if isinstance(row.loss, L1) else getattr(row.loss, "tau", math.inf) for row in rows])
-    gamma0 = row_array([row.schedule.gamma0 for row in rows])
-    constant = row_array([row.schedule.kind == CONSTANT for row in rows], bool)
-    at = np.cumsum([0] + [row.plan.size for row in rows])
-    plan = np.concatenate([row.plan for row in rows])
-    errs = np.empty((3, plan.size))
-    col = at[:-1].copy()  # per row: the entry of plan, and column of errs, of its next checkpoint
-    due = plan[col]  # per row: its step count there, or past n_steps once it has read its last
-    theta_star = np.array([m.theta_star for m in models])
-    hs = [None if isinstance(m.covariance, Identity) else m.design.h for m in models]
+    g = _Grid(grid, models)
+    s_count, r_count = g.shape
     paths = [] if record_iterates else None  # per chunk: every row's iterates before each stream row
-
-    theta = np.zeros((s_count, r_count, d))
-    tmp = np.empty_like(theta)
+    theta, tmp = np.zeros((s_count, r_count, g.d)), np.empty((s_count, r_count, g.d))
     sums = np.zeros_like(theta)  # per row: sum of its pre-update iterates so far
-    done = np.zeros((s_count, r_count), dtype=np.int64)
-    min_r = np.full((s_count, r_count), math.inf)
-    window = _window_views(s_count, r_count)
-    seen = 0
-
+    done, min_r = np.zeros(g.shape, dtype=np.int64), np.full(g.shape, math.inf)
+    window, seen = _window_views(s_count, r_count), 0
     for x, y, corrupted in chunks:
-        if x.shape[1:] != (s_count, d) or y.shape != x.shape[:2] or np.shape(corrupted) != y.shape:
-            raise ValueError(
-                f"chunk has X {x.shape}, y {y.shape} and corrupted {np.shape(corrupted)}, "
-                f"but the grid has stream count {s_count} and the models dimension {d}"
-            )
-        b = y.shape[0]
-        if not np.isfinite(y).all():
-            i, s = np.argwhere(~np.isfinite(y))[0]
-            where = f" of stream {s}" if s_count > 1 else ""
-            raise NonFiniteError(f"non-finite response {float(y[i, s])!r} at stream index {seen + i}{where}")
-        eligible = ~(clean_only[None] & np.asarray(corrupted, dtype=bool)[:, :, None])
-        own = eligible.astype(np.int64)  # each row's own steps up to and including a chunk row
-        np.cumsum(own, axis=0, out=own)  # a cumsum in place is about 3x faster
-        taken = own[-1]
-        if np.any(over := done + taken > n_steps):  # a row's n_steps are all the rows it may read
-            s, r = np.argwhere(over)[0]
-            i = seen + int(np.argmax(own[:, s, r] + done[s, r] > n_steps[s, r]))
-            raise ValueError(
-                f"stream runs past the n_steps={n_steps[s, r]} of {loss_label(grid[s][r].loss)} at stream index {i}"
-            )
+        eligible, own = _own_steps(g, x, y, corrupted, done, seen)
+        scale, bound = _step_sizes(g, eligible, own, done)
+        b, taken = y.shape[0], own[-1]
         seen += b
-        # in place where it can be: these arrays are chunk rows by S by R
-        gamma = np.sqrt(own + done)  # each row's own step index; 0 only where the row does not step
-        np.maximum(gamma, 1.0, out=gamma)
-        np.divide(gamma0, gamma, out=gamma)
-        np.copyto(gamma, gamma0, where=constant)
-        scale = np.where(is_l1, _SIGN_SCALE, gamma)
-        bound = np.multiply(gamma, lo, out=gamma)
-        scale[~eligible], bound[~eligible] = 0.0, 0.0
-
         # a product's rounding depends on the length and layout of its operands, so each
         # stream's products run on its own rows only, as they would with no other stream
         xs = [np.ascontiguousarray(x[:, s]) for s in range(s_count)]
         start = theta.copy()
         rb, cb = np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
-        # per row: the chunk row where it reaches its next checkpoint, b or more if it does not, found
-        # in one search of the rows' nondecreasing step counts laid end to end, row k offset by k (b + 1)
-        before = done.reshape(k_count)
-        keys = (own.reshape(b, k_count).T + (np.arange(k_count) * (b + 1))[:, None]).ravel()
-
-        def reach(k):
-            return np.searchsorted(keys, k * (b + 1) + due[k] - before[k]) - k * b
-
-        def read(k, i):
-            """Read whole the checkpoint each row of k reaches at chunk row i - 1, and find its next.
-
-            With theta_j = start + sum_{l<j} coef_l x_l, a row's t steps in the chunk add
-            t start + sum_{l<i} (t - own_l) coef_l x_l to the sum of its pre-update iterates.
-            """
-            for row in k.tolist():
-                (s, r), t, c = divmod(row, r_count), due[row] - before[row], col[row]
-                bar = sums[s, r] + t * start[s, r]
-                bar += (cb[:i, s, r] * (t - own[:i, s, r])) @ xs[s][:i]
-                bar /= due[row]
-                bar -= theta_star[s]
-                last = theta[s, r] - theta_star[s]
-                # (err_H, err_2, err_last_H): each value is one vecdot, a ddot, whatever the call holds
-                norm, h = vecdot(bar, bar), hs[s]
-                if h is None:  # diff . (diff @ I) is diff . diff bit for bit
-                    errs[:, c] = norm, norm, vecdot(last, last)
-                else:
-                    errs[:, c] = vecdot(bar, vecdot(bar, h)), norm, vecdot(last, vecdot(last, h))
-                # the step of its next checkpoint, past n_steps once it has read its last
-                col[row], due[row] = c + 1, plan[c + 1] if c + 1 < at[row + 1] else n_steps[s, r] + 1
-                due_at[row] = reach(row)
-
-        due_at = reach(np.arange(k_count))
+        begin = 0
         with np.errstate(over="ignore", invalid="ignore"):  # a divergence or overflow is reported below
-            begin = 0
-            while begin < b:  # the chain pauses after each row where some row reaches a checkpoint
-                stop = min(int(due_at.min()), b - 1)
-                _advance(theta, *(a[begin : stop + 1] for a in (x, y, scale, bound, rb, cb)), window, tmp)
-                begin = stop + 1
-                read(np.flatnonzero(due_at == stop), begin)
+            for i, reads in _pauses(g, own, done):
+                _advance(theta, *(a[begin : i + 1] for a in (x, y, scale, bound, rb, cb)), window, tmp)
+                begin = i + 1
+                # with theta_j = start + sum_{l<j} coef_l x_l, a row's t steps in the chunk add
+                # t start + sum_{l<=i} (t - own_l) coef_l x_l to the sum of its pre-update iterates
+                for k, c, t, n in reads:
+                    s, r = divmod(k, r_count)
+                    bar = sums[s, r] + t * start[s, r]
+                    bar += (cb[:begin, s, r] * (t - own[:begin, s, r])) @ xs[s][:begin]
+                    bar /= n
+                    bar -= g.theta_star[s]
+                    g.errs[:, c] = _errors(bar, theta[s, r] - g.theta_star[s], g.hs[s])
         if not (np.isfinite(rb).all() and np.isfinite(theta).all()):
-            _raise_divergence(grid, x, rb, theta, eligible, done, seen - b)
+            _raise_divergence(grid, x, y, rb, theta, eligible, done, seen - b)
         del scale, bound  # the chain's inputs: the sums below do not need them
-
         if paths is not None:
             path = np.empty((b,) + theta.shape)
             path[0] = start
             np.multiply(cb[:-1, :, :, None], x[:-1, :, None, :], out=path[1:])
             np.cumsum(path, axis=0, out=path)
-            paths.append(path.reshape(b, k_count, d))
-
+            paths.append(path.reshape(b, s_count * r_count, g.d))
         # per row: sum over the chunk of (taken - own_l) coef_l x_l
         moved = np.array([((taken[s] - own[:, s]) * cb[:, s]).T @ xs[s] for s in range(s_count)])
         sums += taken[:, :, None] * start + moved
         min_r = np.minimum(min_r, np.where(eligible, np.abs(rb), math.inf).min(axis=0))
         done += taken
         del x, y, corrupted, xs  # not held while the next chunk is drawn
+    return _records(g, sums, theta, min_r, paths, done, seen)
 
-    if np.any(done < n_steps):
-        s, r = np.argwhere(done < n_steps)[0]
+
+def _records(g, sums, theta, min_r, paths, done, seen) -> List[List[RunRecord]]:
+    """Each row's record, as grid[s][r]; a ValueError names a row whose stream ended short of its n_steps."""
+    if np.any(done < g.n_steps):
+        s, r = np.argwhere(done < g.n_steps)[0]
         raise ValueError(
-            f"stream ended after {seen} samples with {loss_label(grid[s][r].loss)} at "
-            f"{done[s, r]} of {n_steps[s, r]} steps"
+            f"stream ended after {seen} samples with {loss_label(g.grid[s][r].loss)} at "
+            f"{done[s, r]} of {g.n_steps[s, r]} steps"
         )
-    check_errors(errs)  # every record's at once; each plan was checked when its Estimator was made
+    check_errors(g.errs)  # every record's at once; each plan was checked when its Estimator was made
     if paths is not None:  # each row's iterate before each stream row, as a view
         path = np.concatenate(paths) if len(paths) > 1 else paths[0]
-    theta_bar = (sums / n_steps[:, :, None]).reshape(k_count, d)
-    theta_last, min_r = theta.reshape(k_count, d).copy(), min_r.reshape(k_count).tolist()
+    theta_bar = (sums / g.n_steps[:, :, None]).reshape(-1, g.d)
+    theta_last, min_r = theta.reshape(-1, g.d).copy(), min_r.ravel().tolist()
     records = [
         RunRecord.checked(
-            steps=row.plan, err_h=(err := errs[:, at[k] : at[k + 1]])[0], err_2=err[1], err_last_h=err[2],
+            steps=row.plan, err_h=(err := g.errs[:, g.at[k] : g.at[k + 1]])[0], err_2=err[1], err_last_h=err[2],
             config_digest=row.digest, theta_bar=theta_bar[k], theta_last=theta_last[k],
             min_abs_residual=min_r[k], iterates=None if paths is None else path[:, k],
         )
-        for k, row in enumerate(rows)
+        for k, row in enumerate(g.rows)
     ]
-    return [records[s * r_count : (s + 1) * r_count] for s in range(s_count)]
+    return [records[k : k + g.shape[1]] for k in range(0, len(records), g.shape[1])]
 
 
-def _raise_divergence(grid, x, residuals, theta, eligible, done, offset) -> None:
-    """Name the first non-finite feature of the stream up to the bad row, else the row that diverged."""
+def _raise_divergence(grid, x, y, residuals, theta, eligible, done, offset) -> None:
+    """Name the earliest poisoned row's non-finite response, else feature, else the row that diverged."""
     bad = np.argwhere(~np.isfinite(residuals))
     if bad.size:
         i, s, r = bad[0]
     else:  # the chunk's last update overflowed
         i, (s, r) = residuals.shape[0] - 1, np.argwhere(~np.isfinite(theta).all(axis=2))[0]
+    where = f" of stream {s}" if len(grid) > 1 else ""
+    if (odd := np.flatnonzero(~np.isfinite(y[: i + 1, s]))).size:
+        raise NonFiniteError(f"non-finite response {float(y[odd[0], s])!r} at stream index {offset + odd[0]}{where}")
     if (odd := np.argwhere(~np.isfinite(x[: i + 1, s]))).size:  # it poisons rows that skip it as well
         j, f = odd[0]
-        where = f" of stream {s}" if len(grid) > 1 else ""
         raise NonFiniteError(f"non-finite feature {float(x[j, s, f])!r} at stream index {offset + j}{where}")
     row = grid[s][r]
     step = int(done[s, r] + np.count_nonzero(eligible[: i + 1, s, r]))
@@ -503,5 +512,8 @@ def oracle_ls_run(stream: Sequence[np.ndarray], gamma0: float, *, model: Regress
     clean = np.flatnonzero(~corrupted)
     row = oracle_row(gamma0, clean.size, y.size, model)
     chunks = stacked_chunks([array_chunks(x, y, corrupted, clean)], x.shape[1])
-    ((record,),) = run_batch([[row]], chunks, [model])
+    try:
+        ((record,),) = run_batch([[row]], chunks, [model])
+    except NonFiniteError as exc:  # the engine counts the clean rows it was given: name the caller's row
+        raise NonFiniteError(re.sub(r"(?<=stream index )\d+", lambda m: str(clean[int(m[0])]), str(exc))) from None
     return record

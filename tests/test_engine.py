@@ -181,6 +181,41 @@ def test_engine_trajectories_match_the_reference_at_wide_dimensions(d):
             assert rec.min_abs_residual == min_r
 
 
+def test_checkpoints_on_chunk_edges_match_the_reference():
+    # the drawn plans of `engine_configs` rarely land on a chunk's first or last row
+    d, n = 3, 2 * CHUNK + 100
+    models = [_model(d, np.array([0.5, -1.0, 2.0]), spectrum) for spectrum in (False, True)]
+    corrupted = np.zeros(n, dtype=bool)
+    corrupted[CHUNK - 8 : CHUNK] = corrupted[2 * CHUNK - 3 : 2 * CHUNK] = True  # runs that end chunks 0 and 1
+    n_clean = n - 11
+    edges = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, n]
+    # the clean_only row's step CHUNK - 8 is stream row CHUNK - 9, and 2 CHUNK - 11 is 2 CHUNK - 4:
+    # each is read just before a run of corrupted rows that it skips to the end of its chunk
+    skips = [CHUNK - 8, CHUNK - 7, 2 * CHUNK - 11, 2 * CHUNK - 10, n_clean]
+    rows = [
+        # the first two step on every row: each of their checkpoints is read for both, in both streams, on one row
+        Estimator(L1(), StepSchedule(0.1), n, edges),
+        Estimator(Huber(0.7), StepSchedule(0.05, CONSTANT), n, edges),
+        Estimator(L2(), StepSchedule(0.05, CONSTANT), n_clean, skips, clean_only=True),
+    ]
+    arrays = []
+    for s, model in enumerate(models):
+        x, y, _ = sample_arrays(model, n, seed=s)
+        arrays.append((x, np.where(corrupted, y + 50.0, y), corrupted))
+    records = run_batch([rows] * 2, stacked_chunks([array_chunks(*a) for a in arrays], d), models)
+    for model, stream, recs in zip(models, arrays, records):
+        for row, rec in zip(rows, recs):
+            errs, state, min_r = _reference(stream, row, model)
+            scale = np.linalg.norm(model.theta_star) + np.sqrt(errs[1])
+            assert errs.shape[1] == row.plan.size
+            assert _same_distance(rec.err_h, errs[0], scale)
+            assert _same_distance(rec.err_2, errs[1], scale)
+            assert _close(rec.err_last_h, errs[2])
+            assert _same_vector(rec.theta_bar, state.theta_bar)
+            assert np.array_equal(rec.theta_last, state.theta)
+            assert rec.min_abs_residual == min_r
+
+
 @st.composite
 def stream_groups(draw):
     """Seeded model streams with R rows each, and an order to group them in."""
@@ -392,6 +427,36 @@ def test_oracle_names_a_nan_clean_response(clean_model):
     stream = _with_nan_response(clean_model, 500, at=7)
     with pytest.raises(NonFiniteError, match="stream index 7"):
         oracle_ls_run(stream, 0.05, model=clean_model)
+
+
+@pytest.mark.parametrize("where", ["response", "feature"])
+def test_the_oracle_names_a_non_finite_value_by_its_index_in_the_callers_stream(where, clean_model):
+    model = RegressionModel(clean_model.theta_star, Identity(3), 1.0, point_outliers(0.25, 1000.0))
+    x, y, b = sample_arrays(model, 2000, seed=3)
+    assert b[1500] == 0.0 and np.count_nonzero(b[:1500]) == 360  # the engine gets row 1500 as its row 1140
+    if where == "response":
+        y[1500] = math.nan
+    else:
+        x[1500, 1] = math.inf
+    with pytest.raises(NonFiniteError, match=rf"^non-finite {where} (nan|inf) at stream index 1500$"):
+        oracle_ls_run((x, y, b), 0.05, model=model)
+
+
+def test_the_earliest_poisoned_row_is_named_its_response_first(clean_model):
+    x, y, b = sample_arrays(clean_model, 2000, seed=3)
+    x[1200, 2], y[1300] = math.nan, math.inf
+    with pytest.raises(NonFiniteError, match=r"^non-finite feature nan at stream index 1200$"):
+        run((x, y, b), L1(), StepSchedule(0.3), 2000, model=clean_model)
+    y[1200] = -math.inf
+    with pytest.raises(NonFiniteError, match=r"^non-finite response -inf at stream index 1200$"):
+        run((x, y, b), L1(), StepSchedule(0.3), 2000, model=clean_model)
+    # across streams too: stream 1's row 800 comes before stream 0's row 1200
+    other = x.copy()
+    other[800, 0] = math.inf
+    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(other, y, b)], clean_model.d)
+    rows = [[Estimator(L2(), StepSchedule(0.05, CONSTANT), 2000)]] * 2
+    with pytest.raises(NonFiniteError, match=r"^non-finite feature inf at stream index 800 of stream 1$"):
+        run_batch(rows, chunks, [clean_model] * 2)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
