@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from .bench import (
+    _KEY_RULES,
     BreakdownConfig,
     ConvergenceConfig,
     ExperimentResult,
@@ -35,7 +36,7 @@ from .bench import (
     convergence_experiment,
     table_svg,
 )
-from .core import SEED_MAX, NonFiniteError
+from .core import NonFiniteError
 from .verify import DEFAULT_SUITE_SEED, CHECK_GROUPS, report_lines, run_suite, suite_passed
 
 ENV_SEED = "STREAMROBUST_SEED"
@@ -52,25 +53,18 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(_fail_usage(f"{ENV_SEED} must be an integer, got {raw!r}"))
-    if not 0 <= value <= SEED_MAX:
-        raise SystemExit(_fail_usage(f"{ENV_SEED} must lie in [0, 2**64 - 1], got {value}"))
-    return value
+def _resolve_seed(flag: Optional[str], fallback: int) -> int:
+    """The --seed flag, else STREAMROBUST_SEED, else the fallback: the config's seed, or verify's default.
 
-
-def _resolve_seed(flag_seed: Optional[int], fallback: int) -> int:
-    """The --seed flag, else STREAMROBUST_SEED, else the fallback: the config's seed, or verify's default."""
-    if flag_seed is not None:
-        return flag_seed
-    env = _env_seed()
-    return fallback if env is None else env
+    Flag and variable are parsed by the config's seed rule; a bad value is a usage error that names its source.
+    """
+    for source, raw in (("--seed", flag), (ENV_SEED, os.environ.get(ENV_SEED))):
+        if raw is not None:
+            try:
+                return _KEY_RULES["seed"](raw)
+            except ValueError as exc:
+                raise SystemExit(_fail_usage(f"{source}: {exc}"))
+    return fallback
 
 
 def _read_config_section(path: Optional[str], section: str) -> Dict[str, str]:
@@ -193,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, func in commands:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=None, metavar="U64", help="master seed")
+        p.add_argument("--seed", default=None, metavar="U64", help="master seed")
         if name == "verify":
             p.add_argument("--only", default=None, metavar="NAME", help="run one check group")
             p.add_argument("--out", default=None, metavar="DIR", help="output directory")
@@ -211,8 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed its usage error, or --help or --version
         return exc.code
-    if args.seed is not None and not 0 <= args.seed <= SEED_MAX:
-        return _fail_usage(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         return _fail_usage(f"--jobs must be >= 1, got {args.jobs}")
     try:

@@ -66,6 +66,12 @@ def derive_seed(seed: int, *path) -> int:
 # covariance specifications
 
 
+class CovarianceDesign(NamedTuple):
+    h: np.ndarray
+    chol: np.ndarray  # lower Cholesky factor of h
+    r2: float  # trace of h
+
+
 @dataclass(frozen=True)
 class Identity:
     """H = I_d."""
@@ -75,6 +81,11 @@ class Identity:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
+
+    @cached_property
+    def design(self) -> CovarianceDesign:
+        h = np.eye(self.d)
+        return CovarianceDesign(h, h.copy(), float(self.d))
 
 
 @dataclass(frozen=True)
@@ -93,58 +104,16 @@ class Spectrum:
                 raise ValueError(f"eigenvalues must be positive and finite, got {v}")
         object.__setattr__(self, "eigenvalues", eig)
 
+    @property
+    def d(self) -> int:
+        return len(self.eigenvalues)
 
-@dataclass(frozen=True, eq=False)
-class Explicit:
-    """H given as an explicit symmetric positive definite matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("explicit covariance matrix must be finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-CovarianceSpec = Union[Identity, Spectrum, Explicit]
-
-
-def spec_dimension(spec: CovarianceSpec) -> int:
-    if isinstance(spec, Identity):
-        return spec.d
-    if isinstance(spec, Spectrum):
-        return len(spec.eigenvalues)
-    if isinstance(spec, Explicit):
-        return spec.matrix.shape[0]
-    raise TypeError(f"not a covariance spec: {spec!r}")
-
-
-class CovarianceDesign(NamedTuple):
-    h: np.ndarray
-    chol: np.ndarray
-    r2: float
-
-
-def realize_covariance(spec: CovarianceSpec) -> CovarianceDesign:
-    """Materialize a covariance spec into (H, lower Cholesky factor, R2).
-
-    R2 is the trace of H. A `Spectrum` spec with a fixed basis_seed realizes
-    the identical matrix on every call; the basis is the Q factor of a seeded
-    Gaussian matrix with the signs of diag(R) fixed, so it is Haar
-    distributed and reproducible.
-    """
-    if isinstance(spec, Identity):
-        h = np.eye(spec.d)
-        return CovarianceDesign(h, h.copy(), float(spec.d))
-
-    if isinstance(spec, Spectrum):
-        eig = np.asarray(spec.eigenvalues, dtype=float)
+    @cached_property
+    def design(self) -> CovarianceDesign:
+        """The basis is Q of a seeded Gaussian matrix, signs of diag(R) fixed: Haar distributed, one per basis_seed."""
+        eig = np.asarray(self.eigenvalues, dtype=float)
         d = eig.size
-        g = substream(spec.basis_seed, "basis").standard_normal((d, d))
+        g = substream(self.basis_seed, "basis").standard_normal((d, d))
         q, r = np.linalg.qr(g)
         sign = np.sign(np.diag(r))
         sign[sign == 0] = 1.0
@@ -153,8 +122,19 @@ def realize_covariance(spec: CovarianceSpec) -> CovarianceDesign:
         h = 0.5 * (h + h.T)
         return CovarianceDesign(h, np.linalg.cholesky(h), float(eig.sum()))
 
-    if isinstance(spec, Explicit):
-        m = np.asarray(spec.matrix, dtype=float)
+
+@dataclass(frozen=True, eq=False)
+class Explicit:
+    """H given as an explicit symmetric positive definite matrix, checked when it is made."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("explicit covariance matrix must be finite")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
             raise ValueError("explicit covariance must be symmetric")
         eig = np.linalg.eigvalsh(m)
@@ -162,9 +142,17 @@ def realize_covariance(spec: CovarianceSpec) -> CovarianceDesign:
             raise ValueError(
                 f"covariance is not positive definite: smallest eigenvalue {eig[0]:.6g} <= 0"
             )
-        return CovarianceDesign(m.copy(), np.linalg.cholesky(m), float(np.trace(m)))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
-    raise TypeError(f"not a covariance spec: {spec!r}")
+    @property
+    def d(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def design(self) -> CovarianceDesign:
+        m = self.matrix
+        return CovarianceDesign(m.copy(), np.linalg.cholesky(m), float(np.trace(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +182,6 @@ class Uniform:
         if not self.lo < self.hi:
             raise ValueError(f"uniform interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
-
-OutlierComponent = Union[PointMass, Uniform]
 
 _WEIGHT_TOL = 1e-12
 
@@ -270,13 +256,15 @@ class RegressionModel:
     """Ground truth theta*, feature covariance, noise scale and corruption law."""
 
     theta_star: np.ndarray
-    covariance: CovarianceSpec
+    covariance: Union[Identity, Spectrum, Explicit]
     sigma: float
     outliers: OutlierDistribution
 
     def __post_init__(self):
         theta = np.array(self.theta_star, dtype=float).reshape(-1)
-        d = spec_dimension(self.covariance)
+        if not isinstance(self.covariance, (Identity, Spectrum, Explicit)):
+            raise TypeError(f"not a covariance spec: {self.covariance!r}")
+        d = self.covariance.d
         if theta.size != d:
             raise ValueError(
                 f"theta_star has dimension {theta.size}, covariance has dimension {d}"
@@ -293,17 +281,16 @@ class RegressionModel:
     def d(self) -> int:
         return self.theta_star.size
 
-    @cached_property
+    @property
     def design(self) -> CovarianceDesign:
-        return realize_covariance(self.covariance)
+        return self.covariance.design
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(self.theta_star.tobytes())
         h.update(self.sigma.hex().encode())
         h.update(repr(self.covariance).encode())
-        if isinstance(self.covariance, Explicit):
-            h.update(self.covariance.matrix.tobytes())
+        h.update(getattr(self.covariance, "matrix", np.empty(0)).tobytes())  # a repr summarises a large matrix
         h.update(repr(self.outliers).encode())
         return h.hexdigest()[:16]
 

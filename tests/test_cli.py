@@ -279,7 +279,7 @@ def test_seed_precedence_flag_beats_env_beats_config(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])
 def test_seed_above_64_bits_is_usage_error(tmp_path, monkeypatch, capsys, source):
-    # 2**64 would otherwise alias seed 0
+    # 2**64 would otherwise alias seed 0; all three sources give the config rule's reason
     too_big = str(2**64)
     text = TINY_CONV.replace("seed = 7", f"seed = {too_big}") if source == "config" else TINY_CONV
     argv = ["convergence", "--config", _write_config(tmp_path, text), "--out", str(tmp_path / "out")]
@@ -288,9 +288,8 @@ def test_seed_above_64_bits_is_usage_error(tmp_path, monkeypatch, capsys, source
     if source == "env":
         monkeypatch.setenv(ENV_SEED, too_big)
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert {"flag": "--seed", "env": ENV_SEED, "config": "config error: seed"}[source] in err
-    assert too_big in err
+    prefix = {"flag": "error: --seed", "env": f"error: {ENV_SEED}", "config": "config error: seed"}[source]
+    assert capsys.readouterr().err == f"{prefix}: must be <= {2**64 - 1}, got {too_big}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -22,9 +22,7 @@ from streamrobust.core import (
     loss_label,
     no_outliers,
     point_outliers,
-    realize_covariance,
     short_digest,
-    spec_dimension,
     substream,
 )
 
@@ -69,7 +67,7 @@ def test_derive_seed_stable_and_distinct():
 
 
 def test_identity_design():
-    des = realize_covariance(Identity(4))
+    des = Identity(4).design
     assert np.array_equal(des.h, np.eye(4))
     assert des.r2 == 4.0
 
@@ -77,20 +75,20 @@ def test_identity_design():
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
 def test_spectrum_design_recovers_eigenvalues(d):
     eigs = tuple(1.0 / k for k in range(1, d + 1))
-    des = realize_covariance(Spectrum(eigs, basis_seed=99))
+    des = Spectrum(eigs, basis_seed=99).design
     got = np.sort(np.linalg.eigvalsh(des.h))
     assert np.allclose(got, sorted(eigs), atol=1e-12)
     assert math.isclose(des.r2, sum(eigs))
     # same seed, same matrix; the factorization must reproduce H
-    des2 = realize_covariance(Spectrum(eigs, basis_seed=99))
+    des2 = Spectrum(eigs, basis_seed=99).design
     assert np.array_equal(des.h, des2.h)
     assert np.allclose(des.chol @ des.chol.T, des.h, atol=1e-12)
 
 
 def test_spectrum_basis_seed_changes_basis():
     eigs = (1.0, 0.25)
-    a = realize_covariance(Spectrum(eigs, basis_seed=1)).h
-    b = realize_covariance(Spectrum(eigs, basis_seed=2)).h
+    a = Spectrum(eigs, basis_seed=1).design.h
+    b = Spectrum(eigs, basis_seed=2).design.h
     assert not np.allclose(a, b)
 
 
@@ -105,17 +103,20 @@ def test_spectrum_rejects_bad_eigenvalues():
 
 def test_explicit_design_and_validation():
     m = np.array([[2.0, 0.5], [0.5, 1.0]])
-    des = realize_covariance(Explicit(m))
+    des = Explicit(m).design
     assert np.array_equal(des.h, m)
     assert np.allclose(des.chol @ des.chol.T, m, atol=1e-12)
     assert math.isclose(des.r2, 3.0)
 
+    # refused when made, not at the first use of the design
     with pytest.raises(ValueError, match="symmetric"):
-        realize_covariance(Explicit(np.array([[1.0, 0.2], [0.0, 1.0]])))
+        Explicit(np.array([[1.0, 0.2], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="smallest eigenvalue"):
-        realize_covariance(Explicit(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        Explicit(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         Explicit(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        Explicit(np.zeros((0, 0)))
 
 
 def test_explicit_matrix_is_frozen():
@@ -125,11 +126,11 @@ def test_explicit_matrix_is_frozen():
 
 
 def test_spec_dimension():
-    assert spec_dimension(Identity(3)) == 3
-    assert spec_dimension(Spectrum((1.0, 2.0), 0)) == 2
-    assert spec_dimension(Explicit(np.eye(5))) == 5
-    with pytest.raises(TypeError):
-        spec_dimension("identity")
+    assert Identity(3).d == 3
+    assert Spectrum((1.0, 2.0), 0).d == 2
+    assert Explicit(np.eye(5)).d == 5
+    with pytest.raises(TypeError, match="not a covariance spec"):
+        RegressionModel(np.zeros(1), "identity", 1.0, no_outliers())
 
 
 # ---------------------------------------------------------------------------

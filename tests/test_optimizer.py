@@ -122,6 +122,7 @@ def test_default_gamma0(spectrum_model):
     [
         ("clean_model", "2bdec5c934c49d3f", "08a5035c5be99e2e", "d7c188a5bd35eb06"),
         ("spectrum_model", "2a60e4aadc63c05b", "df94ce8fc99dc917", "13cf894abdc29573"),
+        ("mixture_model", "59c60858ca7d4df7", "ad97a6a5f202e5ca", "ff89144e0fdf62c8"),
     ],
 )
 def test_row_digests_keep_their_bytes(model_name, l1, huber, oracle, request):
