@@ -41,12 +41,11 @@ from .core import (
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-_erf_objects = np.frompyfunc(math.erf, 1, 1)
-
 
 def erf(x):
     """Gauss error function of a float or an array, elementwise through math.erf."""
-    return np.asarray(_erf_objects(x), dtype=float)[()]
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
 
 
 @lru_cache(maxsize=None)

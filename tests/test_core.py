@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox, SFC64
 
 from streamrobust.core import (
     CONSTANT,
@@ -51,6 +53,22 @@ def test_substream_int_and_string_path_parts():
     a = substream(3, "rep", 0).random(4)
     b = substream(3, "rep", 1).random(4)
     assert not np.array_equal(a, b)
+
+
+def test_substream_keeps_philox_by_default():
+    # the data streams replay the pinned seeds' rows: these bytes were drawn from Philox
+    rng = substream(7, "x")
+    h = hashlib.sha256(rng.standard_normal(8).tobytes())
+    h.update(rng.random(8).tobytes())
+    assert h.hexdigest() == "ca4a0e761ce542341d3f3b781e0856dee3bde455ef86e7a6d3ab5d8f7b09fa6c"
+    assert np.array_equal(substream(7, "x", bit_generator=Philox).random(8), substream(7, "x").random(8))
+
+
+def test_substream_takes_another_bit_generator_at_the_same_address():
+    a = substream(7, "mc", bit_generator=SFC64).random(8)
+    assert isinstance(substream(7, "mc", bit_generator=SFC64).bit_generator, SFC64)
+    assert np.array_equal(a, substream(7, "mc", bit_generator=SFC64).random(8))
+    assert not np.array_equal(a, substream(7, "mc").random(8))
 
 
 def test_derive_seed_stable_and_distinct():
@@ -272,6 +290,19 @@ def test_model_fingerprint_distinguishes(clean_model):
     }
     assert len(prints) == 4
     assert clean_model.fingerprint() == clean_model.fingerprint()
+
+
+def test_model_fingerprint_ignores_numpy_print_options(mixture_model):
+    # an Explicit spec's repr prints its matrix through numpy's global print options
+    before = mixture_model.fingerprint(), repr(mixture_model.covariance)
+    saved = np.get_printoptions()
+    try:
+        np.set_printoptions(precision=3, formatter={"float": lambda v: f"{v:.1f}"})
+        assert repr(mixture_model.covariance) != before[1]
+        assert mixture_model.fingerprint() == before[0]
+    finally:
+        np.set_printoptions(**saved)
+    assert mixture_model.fingerprint() == before[0]
 
 
 def test_model_design_cached(mixture_model):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,15 @@ def test_stream_is_reproducible(point_model):
     b = sample_arrays(point_model, 50, seed=3)
     for arr_a, arr_b in zip(a, b):
         assert np.array_equal(arr_a, arr_b)
+
+
+def test_stream_draws_keep_their_bytes(point_model):
+    # an identity design with point outliers: X and b are the Philox draws themselves
+    x, _, b = sample_arrays(point_model, 8, seed=3)
+    assert np.count_nonzero(b) == 1
+    h = hashlib.sha256(x.tobytes())
+    h.update(b.tobytes())
+    assert h.hexdigest() == "a59787477acf2c14efaa12b85e6755a92f5b9e4bddf72d86b02df3a22dc1bbb8"
 
 
 def test_stream_changes_with_seed(point_model):

@@ -80,6 +80,13 @@ def test_mc_expected_loss_agrees_with_closed_form(mixture_model):
     assert abs(closed - mean) < 4.0 * stderr
 
 
+def test_mc_expected_loss_repeats_on_a_seed_and_moves_with_it(mixture_model):
+    theta = mixture_model.theta_star + np.array([0.4, -0.2])
+    a = mc_expected_loss(theta, mixture_model, 5000, seed=17)
+    assert a == mc_expected_loss(theta, mixture_model, 5000, seed=17)
+    assert a != mc_expected_loss(theta, mixture_model, 5000, seed=18)
+
+
 def test_mc_expected_loss_rejects_tiny_sample():
     model = RegressionModel(np.zeros(1), Identity(1), 1.0, no_outliers())
     with pytest.raises(ValueError, match="1000"):
