@@ -36,7 +36,7 @@ from .core import (
     short_digest,
     substream,
 )
-from .datagen import CHUNK, _chunk_arrays, array_chunks, stacked_chunks, tiered_contamination
+from .datagen import CHUNK, _chunk_arrays, array_chunks, tiered_contamination
 from .optimizer import default_gamma0, oracle_row, run_batch, sgd_row
 
 CONVERGENCE_LOSSES = ("l1", "l2", "huber", "oracle")
@@ -367,7 +367,7 @@ def _cell_records(args) -> List[Dict[str, RunRecord]]:
             for name in names
         ])
         streams.append(_corrupted_stream(model, b, cfg.passes, seed))
-    records = run_batch(grid, stacked_chunks(streams, cfg.dim), [models[cell[0]] for cell in cells])
+    records = run_batch(grid, streams, [models[cell[0]] for cell in cells])
     return [dict(zip(names, recs)) for recs in records]
 
 

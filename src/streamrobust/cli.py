@@ -78,7 +78,8 @@ def _read_config_section(path: Optional[str], section: str) -> Dict[str, str]:
         raise SystemExit(_fail_usage(f"cannot read config {path!r}: {exc}"))
     except configparser.Error as exc:
         raise SystemExit(_fail_usage(f"malformed config {path!r}: {exc}"))
-    found = parser.sections()
+    # configparser merges a [DEFAULT] section into every other one, and leaves it out of sections()
+    found = ([parser.default_section] if parser.defaults() else []) + parser.sections()
     if section not in found or any(name not in EXPERIMENTS for name in found):
         raise SystemExit(_fail_usage(
             f"config {path!r} must have a [{section}] section and no other than {list(EXPERIMENTS)}; found {found}"))

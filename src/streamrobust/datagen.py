@@ -11,21 +11,20 @@ are drawn.
 
 Chunks are written in place. A stream is an iterator of chunk writers: each
 writer fills the first rows of the slice it is given, X (CHUNK, d), y and b
-(CHUNK,), and returns how many rows it wrote. `stacked_chunks` gives S
-streams their slices of one stream-major buffer, X (S, CHUNK, d), and hands
-the engine each chunk as a (rows, S, d) view of it, so each stream's rows
-stay contiguous and nothing is stacked or copied. Drawn streams
-(`_chunk_arrays`) write their draws there; stored streams (`array_chunks`)
-gather their rows there. `sample_arrays` copies the same writers' chunks
-into the arrays it returns, so both paths yield bit-identical rows for
-identical seeds, whatever their lengths.
+(CHUNK,), returns how many rows it wrote, and refuses a slice of another
+dimension than its rows. Drawn streams (`_chunk_arrays`) write their draws
+there; stored streams (`array_chunks`) gather their rows there. The engine,
+`optimizer.run_batch`, gives each stream its slice of its own chunk buffer;
+`sample_arrays` copies the same writers' chunks into the arrays it returns,
+so both paths yield bit-identical rows for identical seeds, whatever their
+lengths.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +57,7 @@ def _draw_chunk(model, chol_t, rows, rng_x, rng_noise, rng_outlier, x, y, b) -> 
     products run over all CHUNK rows, the ones past `rows` zeroed; row i's
     uniforms sit at i, CHUNK + i, 2 CHUNK + i.
     """
+    _check_width(model.d, x)
     rng_x.standard_normal(out=x[:rows])
     x[rows:] = 0.0
     if chol_t is not None:
@@ -83,31 +83,12 @@ def sample_arrays(model: RegressionModel, n: int, seed: int) -> tuple:
     return xs, ys, bs
 
 
-def stacked_chunks(streams: Sequence[Iterable[Callable]], d: int) -> Iterator[tuple]:
-    """Chunks of S streams side by side: X (rows, S, d), y (rows, S), b (rows, S).
-
-    Every chunk is written into one stream-major buffer, X (S, CHUNK, d), y
-    and b (S, CHUNK), stream s into its own slice, and yielded as views of
-    it. The next chunk is written over it, so a consumer must be done with a
-    chunk before it asks for the next. The streams must write chunks of
-    equal lengths; the stacked stream ends with the shortest one.
-    """
-    s_count = len(streams)
-    x, y, b = np.empty((s_count, CHUNK, d)), np.empty((s_count, CHUNK)), np.empty((s_count, CHUNK))
-    for writers in zip(*streams):
-        rows = {write(x[s], y[s], b[s]) for s, write in enumerate(writers)}
-        if len(rows) != 1:
-            raise ValueError(f"streams wrote chunks of unequal lengths {sorted(rows)}")
-        (rows,) = rows
-        yield x[:, :rows].transpose(1, 0, 2), y[:, :rows].T, b[:, :rows].T
-
-
 def array_chunks(x: np.ndarray, y: np.ndarray, b: np.ndarray, order=None) -> Iterator[Callable]:
     """Writers of a stored stream's chunks of at most CHUNK rows, visiting rows in `order`.
 
-    With `order` omitted the rows are visited as stored; a multi-pass stream
-    is one X with an order made of one permutation per pass. b != 0 flags a
-    row; boolean flags are written as 0.0 and 1.0.
+    With `order` omitted the rows are visited as stored; a permutation of
+    the rows visits them once more, in another order, as a later pass does.
+    b != 0 flags a row; boolean flags are written as 0.0 and 1.0.
     """
     b = np.asarray(b, dtype=float)
     order = np.arange(y.shape[0]) if order is None else order
@@ -117,11 +98,18 @@ def array_chunks(x: np.ndarray, y: np.ndarray, b: np.ndarray, order=None) -> Ite
 
 def _gathered_chunk(x_all, y_all, b_all, idx, x, y, b) -> int:
     """Gather rows `idx` of stored arrays into the first rows of x, y and b."""
+    _check_width(x_all.shape[1], x)
     rows = idx.size
     # mode="clip": the indices are in range, and "raise" would gather into a temporary
     for source, out in ((x_all, x), (y_all, y), (b_all, b)):
         np.take(source, idx, axis=0, out=out[:rows], mode="clip")
     return rows
+
+
+def _check_width(d: int, x: np.ndarray) -> None:
+    """A ValueError naming both dimensions unless the slice x holds rows of d features."""
+    if x.shape[1] != d:
+        raise ValueError(f"stream rows have dimension {d}, but the models have dimension {x.shape[1]}")
 
 
 def tiered_contamination(n: int, eta: float, seed: int) -> np.ndarray:

@@ -35,15 +35,17 @@ non-finite values: a non-finite response or feature leaves a non-finite
 residual in every row, and only then does `_raise_divergence` name the
 earliest poisoned row, its response before its features.
 
-Chunks come from `datagen.stacked_chunks`: each is written in place into a
-stream-major buffer and read as a (rows, S, d) view, so a stream's rows are
-contiguous and nothing is copied to step them. Every row starts at 0,
-checks its step count and plan once, as its `Estimator` is made, and is
-built with its config digest by `sgd_row` (averaged SGD on a loss) or
-`oracle_row` (the clean-data least-squares oracle). A recorded path holds
-each row's iterate before every row of its stream. `run` and `oracle_ls_run`
-drive the engine for one such row, on a model (drawn chunk by chunk) or on
-a stored (X, y, corrupted) triple.
+The engine takes streams, iterators of `datagen` chunk writers, and lays
+out their chunks itself: each stream writes into its slice of one
+stream-major buffer, X (S, CHUNK, d), which the engine reads as a
+(rows, S, d) view, so a stream's rows are contiguous and nothing is copied
+to step them. Every row starts at 0, checks its step count and plan once,
+as its `Estimator` is made, and is built with its config digest by
+`sgd_row` (averaged SGD on a loss) or `oracle_row` (the clean-data
+least-squares oracle). A recorded path holds each row's iterate before
+every row of its stream. `run` and `oracle_ls_run` drive the engine for one
+such row, on a model (drawn chunk by chunk) or on a stored (X, y,
+corrupted) triple.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Union
+from itertools import zip_longest
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy import add, multiply, subtract, vecdot
@@ -74,7 +77,7 @@ from .core import (
     loss_label,
     short_digest,
 )
-from .datagen import _chunk_arrays, array_chunks, stacked_chunks
+from .datagen import CHUNK, _chunk_arrays, array_chunks
 
 # The L1 influence scales residuals by the largest double instead of inf:
 # every residual with |r| > gamma * 2**-1023 is clipped to its sign, and a
@@ -243,10 +246,12 @@ class _Grid:
     of its next, and marks[col[k] + k] that checkpoint's step, or n_steps + 1 once it has read its last.
     """
 
-    def __init__(self, grid: Sequence[Sequence[Estimator]], models: Sequence[RegressionModel]):
+    def __init__(self, grid: Sequence[Sequence[Estimator]], models: Sequence[RegressionModel], stream_count: int):
         s_count, r_count = len(models), len(grid[0]) if len(grid) else 0
         if not s_count or len(grid) != s_count or not r_count or any(len(rows) != r_count for rows in grid):
             raise ValueError(f"need one model and the same number of rows for each stream, got {s_count} models")
+        if stream_count != s_count:
+            raise ValueError(f"need one stream for each of the {s_count} models, got {stream_count} streams")
         self.grid, self.shape, self.d = grid, (s_count, r_count), models[0].d
         if any(m.d != self.d for m in models):
             raise ValueError("every stream's model must have the same dimension")
@@ -265,14 +270,9 @@ class _Grid:
         self.hs = [None if isinstance(m.covariance, Identity) else m.design.h for m in models]
 
 
-def _own_steps(g, x, y, corrupted, done, seen):
-    """Which rows step on each chunk row, and their own steps so far; a ValueError names a misfit or an over-run."""
-    if x.shape[1:] != (g.shape[0], g.d) or y.shape != x.shape[:2] or np.shape(corrupted) != y.shape:
-        raise ValueError(
-            f"chunk has X {x.shape}, y {y.shape} and corrupted {np.shape(corrupted)}, "
-            f"but the grid has stream count {g.shape[0]} and the models dimension {g.d}"
-        )
-    eligible = ~(g.clean_only[None] & np.asarray(corrupted, dtype=bool)[:, :, None])
+def _own_steps(g, corrupted, done, seen):
+    """Which rows step on each chunk row, and their own steps so far; a ValueError names an over-run."""
+    eligible = ~(g.clean_only[None] & (corrupted != 0.0)[:, :, None])
     own = eligible.astype(np.int64)
     np.cumsum(own, axis=0, out=own)  # a cumsum in place is about 3x faster
     if np.any(over := done + own[-1] > g.n_steps):  # a row's n_steps are all the rows it may read
@@ -330,20 +330,17 @@ def _errors(bar, last, h) -> tuple:
 
 def run_batch(
     grid: Sequence[Sequence[Estimator]],
-    chunks: Iterable[tuple],
+    streams: Sequence[Iterable[Callable]],
     models: Sequence[RegressionModel],
     *,
     record_iterates: bool = False,
 ) -> List[List[RunRecord]]:
     """Run S streams at once, each with its own model and the same number R of rows.
 
-    `grid[s]` holds stream s's rows and `models[s]` the model its errors are
-    measured against. Chunks are (X (b, S, d), y (b, S), corrupted (b, S))
-    of at most `datagen.CHUNK` rows; a nonzero or true `corrupted` flags a
-    row. `datagen.stacked_chunks` yields them as views of a stream-major
-    buffer, X (S, CHUNK, d), so each stream's rows X[:, s] are contiguous,
-    and writes the next chunk over the last: the engine is done with a chunk
-    before it asks for the next.
+    `grid[s]` holds stream s's rows, `streams[s]` its chunk writers (see
+    `datagen`) and `models[s]` the model its errors are measured against; a
+    nonzero flag b marks a corrupted row. The streams write chunks of equal
+    lengths, into their slices of the engine's buffer.
 
     Every row starts at 0 and steps on each stream row that it may read, to
     the end of its stream: all of them, or the clean ones for a clean_only
@@ -352,26 +349,32 @@ def run_batch(
     names; memory stays bounded by the chunk size whatever the stream length
     or the plans, and a stream's records do not depend on its call mates.
     Returns records as grid[s][r], with the row's iterate before every row of
-    its stream if record_iterates. A ValueError names a chunk unlike the grid
-    and the models, or a row whose stream runs past its n_steps or ends short
-    of them; a NonFiniteError names a non-finite response or feature by its
+    its stream if record_iterates. A ValueError names a grid unlike the
+    models or the streams, a stream unlike its model, chunks of unequal
+    lengths, or a row whose stream runs past its n_steps or ends short of
+    them; a NonFiniteError names a non-finite response or feature by its
     stream index, or a diverged iterate.
     """
-    g = _Grid(grid, models)
+    g = _Grid(grid, models, len(streams))
     s_count, r_count = g.shape
     paths = [] if record_iterates else None  # per chunk: every row's iterates before each stream row
     theta, tmp = np.zeros((s_count, r_count, g.d)), np.empty((s_count, r_count, g.d))
     sums = np.zeros_like(theta)  # per row: sum of its pre-update iterates so far
     done, min_r = np.zeros(g.shape, dtype=np.int64), np.full(g.shape, math.inf)
     window, seen = _window_views(s_count, r_count), 0
-    for x, y, corrupted in chunks:
-        eligible, own = _own_steps(g, x, y, corrupted, done, seen)
+    # stream-major: a product's rounding depends on the length and layout of its operands, so
+    # each stream's products run on its own contiguous rows xb[s, :b], as with no other stream
+    xb, yb, bb = np.empty((s_count, CHUNK, g.d)), np.empty((s_count, CHUNK)), np.empty((s_count, CHUNK))
+    for writers in zip_longest(*streams):  # a stream that has ended writes 0 rows
+        lengths = {write(xb[s], yb[s], bb[s]) if write else 0 for s, write in enumerate(writers)}
+        if len(lengths) != 1:
+            raise ValueError(f"streams wrote chunks of unequal lengths {sorted(lengths)}")
+        (b,) = lengths
+        x, y = xb[:, :b].transpose(1, 0, 2), yb[:, :b].T
+        eligible, own = _own_steps(g, bb[:, :b].T, done, seen)
         scale, bound = _step_sizes(g, eligible, own, done)
-        b, taken = y.shape[0], own[-1]
+        taken = own[-1]
         seen += b
-        # a product's rounding depends on the length and layout of its operands, so each
-        # stream's products run on its own rows only, as they would with no other stream
-        xs = [np.ascontiguousarray(x[:, s]) for s in range(s_count)]
         start = theta.copy()
         rb, cb = np.empty((b, s_count, r_count)), np.empty((b, s_count, r_count))
         begin = 0
@@ -384,7 +387,7 @@ def run_batch(
                 for k, c, t, n in reads:
                     s, r = divmod(k, r_count)
                     bar = sums[s, r] + t * start[s, r]
-                    bar += (cb[:begin, s, r] * (t - own[:begin, s, r])) @ xs[s][:begin]
+                    bar += (cb[:begin, s, r] * (t - own[:begin, s, r])) @ xb[s, :begin]
                     bar /= n
                     bar -= g.theta_star[s]
                     g.errs[:, c] = _errors(bar, theta[s, r] - g.theta_star[s], g.hs[s])
@@ -398,11 +401,10 @@ def run_batch(
             np.cumsum(path, axis=0, out=path)
             paths.append(path.reshape(b, s_count * r_count, g.d))
         # per row: sum over the chunk of (taken - own_l) coef_l x_l
-        moved = np.array([((taken[s] - own[:, s]) * cb[:, s]).T @ xs[s] for s in range(s_count)])
+        moved = np.array([((taken[s] - own[:, s]) * cb[:, s]).T @ xb[s, :b] for s in range(s_count)])
         sums += taken[:, :, None] * start + moved
         min_r = np.minimum(min_r, np.where(eligible, np.abs(rb), math.inf).min(axis=0))
         done += taken
-        del x, y, corrupted, xs  # not held while the next chunk is drawn
     return _records(g, sums, theta, min_r, paths, done, seen)
 
 
@@ -491,11 +493,10 @@ def run(
         raise ValueError("a reference model is required when running from stream arrays")
     row = sgd_row(loss, schedule, n_steps, seed, model, checkpoint_plan)
     if drawn:
-        chunks = stacked_chunks([_chunk_arrays(source, seed, row.n_steps)], source.d)
+        stream = _chunk_arrays(source, seed, row.n_steps)
     else:
-        x, y, corrupted = (a[: row.n_steps] for a in _stream_arrays(source))
-        chunks = stacked_chunks([array_chunks(x, y, corrupted)], x.shape[1])
-    ((record,),) = run_batch([[row]], chunks, [model], record_iterates=record_iterates)
+        stream = array_chunks(*(a[: row.n_steps] for a in _stream_arrays(source)))
+    ((record,),) = run_batch([[row]], [stream], [model], record_iterates=record_iterates)
     return record
 
 
@@ -511,9 +512,8 @@ def oracle_ls_run(stream: Sequence[np.ndarray], gamma0: float, *, model: Regress
     x, y, corrupted = _stream_arrays(stream)
     clean = np.flatnonzero(~corrupted)
     row = oracle_row(gamma0, clean.size, y.size, model)
-    chunks = stacked_chunks([array_chunks(x, y, corrupted, clean)], x.shape[1])
     try:
-        ((record,),) = run_batch([[row]], chunks, [model])
+        ((record,),) = run_batch([[row]], [array_chunks(x, y, corrupted, clean)], [model])
     except NonFiniteError as exc:  # the engine counts the clean rows it was given: name the caller's row
         raise NonFiniteError(re.sub(r"(?<=stream index )\d+", lambda m: str(clean[int(m[0])]), str(exc))) from None
     return record

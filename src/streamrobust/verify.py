@@ -297,30 +297,22 @@ def check_moment_bounds(
 
     With gamma_t = gamma0 / sqrt(t) and R2 = trace(H), the squared distance
     to theta* after k steps from theta_0 = 0 is bounded in expectation by
-    ||theta*||^2 + gamma0^2 R2 ln(e k), with a fourth-moment analogue. Replication r consumes the stream seeded by (seed, "rep", r).
-    Reported values are the worst z-scores across checkpoints.
+    ||theta*||^2 + gamma0^2 R2 ln(e k), with a fourth-moment analogue.
+    Replication r steps on the first n rows drawn from the model on the seed
+    (seed, "rep", r), and the replications step together, in one engine
+    call. Reported values are the worst z-scores across checkpoints.
     """
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
     if schedule.kind != INV_SQRT:
         raise ValueError("the moment bounds are stated for the inverse square root schedule")
-    from .datagen import CHUNK, sample_arrays
+    from .datagen import _chunk_arrays
     from .optimizer import default_checkpoints, run_batch, sgd_row
 
     theta_star = model.theta_star
-    # short streams, drawn one after another and stepped together; stream-major as
-    # datagen.stacked_chunks lays chunks out, but held at their length, not a whole chunk's.
-    # Drawn through stacked_chunks(_chunk_arrays(...)) they keep every report byte, but
-    # each takes a whole CHUNK-row slice of its buffer: a 4-seed verify run then peaked at
-    # 49.71 against 48.79 MB (ru_maxrss, median of 10 alternating pairs), for no time won
-    x, y = np.empty((replications, n, model.d)), np.empty((replications, n))
-    for r in range(replications):
-        x[r], y[r], _ = sample_arrays(model, n, derive_seed(seed, "rep", r))
-    flags = np.zeros((n, replications), dtype=bool)  # an L1 row reads every row, corrupted or not
-    chunks = [(x[:, a : a + CHUNK].transpose(1, 0, 2), y[:, a : a + CHUNK].T, flags[a : a + CHUNK])
-              for a in range(0, n, CHUNK)]
+    streams = [_chunk_arrays(model, derive_seed(seed, "rep", r), n) for r in range(replications)]
     row = sgd_row(L1(), schedule, n, seed, model, plan=[n])
-    records = run_batch([[row]] * replications, chunks, [model] * replications, record_iterates=True)
+    records = run_batch([[row]] * replications, streams, [model] * replications, record_iterates=True)
     checkpoints = default_checkpoints(n)
     # per checkpoint k, each replication's iterate after k steps: before row k, or the last one at k = n
     theta_ks = np.stack([np.vstack([rec.iterates[checkpoints[:-1]], rec.theta_last]) for (rec,) in records], axis=1)

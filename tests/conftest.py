@@ -12,6 +12,17 @@ from streamrobust.core import (
     no_outliers,
     point_outliers,
 )
+from streamrobust.datagen import CHUNK
+
+
+def stream_chunks(stream, d):
+    """One stream's chunks as (X, y, b) arrays, each written into a fresh (CHUNK, d) slice."""
+    chunks = []
+    for write in stream:
+        x, y, b = np.empty((CHUNK, d)), np.empty(CHUNK), np.empty(CHUNK)
+        rows = write(x, y, b)
+        chunks.append((x[:rows], y[:rows], b[:rows]))
+    return chunks
 
 
 @pytest.fixture

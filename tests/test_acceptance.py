@@ -37,7 +37,7 @@ from streamrobust.core import (
     point_outliers,
     substream,
 )
-from streamrobust.datagen import _chunk_arrays, sample_arrays, stacked_chunks
+from streamrobust.datagen import _chunk_arrays, sample_arrays
 from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
 from streamrobust.verify import (
     check_avg_iterate_bound,
@@ -78,8 +78,7 @@ def _rate_runs(model: RegressionModel, tag: str):
     gamma0 = 1.0 / model.design.r2
     seeds = [derive_seed(RATE_SEED, tag, rep) for rep in range(RATE_REPS)]
     grid = [[Estimator(L1(), StepSchedule(gamma0), RATE_N)] for _ in seeds]
-    chunks = stacked_chunks([_chunk_arrays(model, seed, RATE_N) for seed in seeds], model.d)
-    records = run_batch(grid, chunks, [model] * RATE_REPS)
+    records = run_batch(grid, [_chunk_arrays(model, seed, RATE_N) for seed in seeds], [model] * RATE_REPS)
     return mean_run_record([rec for (rec,) in records])
 
 

@@ -36,7 +36,9 @@ from streamrobust.core import (
     no_outliers,
     substream,
 )
-from streamrobust.datagen import CHUNK, sample_arrays, stacked_chunks
+from streamrobust.datagen import CHUNK, sample_arrays
+
+from conftest import stream_chunks
 
 TINY = dict(n_samples="600", dim="4", passes="2", replications="2", seed="7")
 
@@ -194,10 +196,9 @@ def _stream_model():
 
 
 def _stream(n, eta, preset, value, passes, seed):
-    """The contamination and the chunks of a cell's stream, each copied out of the chunk buffer."""
+    """The contamination and the chunks of a cell's stream."""
     b = _contamination(n, eta, preset, value, derive_seed(seed, "contam"))
-    chunks = stacked_chunks([_corrupted_stream(_stream_model(), b, passes, seed)], 3)
-    return b, [tuple(a[:, 0].copy() for a in chunk) for chunk in chunks]
+    return b, stream_chunks(_corrupted_stream(_stream_model(), b, passes, seed), 3)
 
 
 def test_corrupted_stream_passes_are_permutations():
@@ -223,27 +224,25 @@ def test_corrupted_stream_passes_are_permutations():
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
-def test_streams_drawn_side_by_side_in_place_keep_their_rows():
-    # three streams of three designs share one chunk buffer over two passes, the last chunk
-    # short: pass 0 holds each stream's drawn rows, pass 1 its stored rows in its permutation
+def test_multi_pass_streams_of_three_designs_keep_their_rows():
+    # streams of three designs over two passes, the last chunk short: pass 0 holds each
+    # stream's drawn rows, pass 1 its stored rows in its permutation
     n, passes = 2 * CHUNK + 300, 2
     explicit = Explicit(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]))
     covariances = [Identity(3), Spectrum((1.0, 0.5, 0.25), basis_seed=4), explicit]
     models = [RegressionModel(np.array([0.6, -0.2, 0.3]), cov, 1.0, no_outliers()) for cov in covariances]
-    seeds = [21, 22, 23]
-    bs = [_contamination(n, 0.3, "tiered", 1000.0, derive_seed(seed, "contam")) for seed in seeds]
-    streams = [_corrupted_stream(model, b, passes, seed) for model, b, seed in zip(models, bs, seeds)]
-    chunks = [tuple(a.copy() for a in chunk) for chunk in stacked_chunks(streams, 3)]
-    assert [len(y) for _, y, _ in chunks] == [CHUNK, CHUNK, 300] * passes
-    x, y, flags = (np.concatenate(parts) for parts in zip(*chunks))
-    for s, (model, b, seed) in enumerate(zip(models, bs, seeds)):
+    for model, seed in zip(models, [21, 22, 23]):
+        b = _contamination(n, 0.3, "tiered", 1000.0, derive_seed(seed, "contam"))
+        chunks = stream_chunks(_corrupted_stream(model, b, passes, seed), 3)
+        assert [len(y) for _, y, _ in chunks] == [CHUNK, CHUNK, 300] * passes
+        x, y, flags = (np.concatenate(parts) for parts in zip(*chunks))
         x0, y0, _ = sample_arrays(model, n, derive_seed(seed, "data"))
         order = substream(derive_seed(seed, "order"), "pass", 1).permutation(n)
         for p, rows in enumerate([np.arange(n), order]):
             at = slice(p * n, (p + 1) * n)
-            assert np.array_equal(x[at, s], x0[rows]), (s, p)
-            assert np.array_equal(y[at, s], (y0 + b)[rows]), (s, p)
-            assert np.array_equal(flags[at, s], b[rows]), (s, p)
+            assert np.array_equal(x[at], x0[rows]), (seed, p)
+            assert np.array_equal(y[at], (y0 + b)[rows]), (seed, p)
+            assert np.array_equal(flags[at], b[rows]), (seed, p)
 
 
 @pytest.mark.parametrize("preset", ["tiered", "point"])

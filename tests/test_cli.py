@@ -301,8 +301,13 @@ def test_largest_64_bit_seed_is_accepted(tmp_path):
 
 @pytest.mark.parametrize(
     "sections, found",
-    [("[breakdwon]\nn_samples = 40\n", "['breakdwon']"), (TINY_BREAK + "[verify]\nseed = 1\n", "['breakdown', 'verify']")],
-    ids=["misspelt", "extra"],
+    [
+        ("[breakdwon]\nn_samples = 40\n", "['breakdwon']"),
+        (TINY_BREAK + "[verify]\nseed = 1\n", "['breakdown', 'verify']"),
+        # its keys would reach every section
+        ("[DEFAULT]\nn_samples = 300\n" + TINY_BREAK, "['DEFAULT', 'breakdown']"),
+    ],
+    ids=["misspelt", "extra", "default"],
 )
 def test_config_without_its_section_or_with_a_stray_one_is_usage_error(tmp_path, capsys, sections, found):
     cfg = _write_config(tmp_path, sections)
@@ -311,6 +316,12 @@ def test_config_without_its_section_or_with_a_stray_one_is_usage_error(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: config") and "[breakdown]" in err and found in err
     assert not out_dir.exists()
+
+
+def test_a_default_section_is_listed_when_the_command_has_no_section(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "[DEFAULT]\nn_samples = 300\n" + TINY_BREAK)
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "[convergence]" in (err := capsys.readouterr().err) and "found ['DEFAULT', 'breakdown']" in err
 
 
 def test_config_with_both_experiment_sections_runs(tmp_path):

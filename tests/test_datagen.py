@@ -18,8 +18,10 @@ from streamrobust.core import (
     point_outliers,
     substream,
 )
-from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays, stacked_chunks, tiered_contamination
+from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays, tiered_contamination
 from streamrobust.optimizer import run
+
+from conftest import stream_chunks
 
 
 def test_stream_is_reproducible(point_model):
@@ -165,35 +167,22 @@ LAWS = {
 @pytest.mark.parametrize("design", DESIGNS)
 def test_a_stream_drawn_at_its_length_is_a_prefix_of_a_longer_one(design, law, n):
     model = RegressionModel(np.array([-0.4, 1.1, 0.2]), DESIGNS[design], 1.3, LAWS[law])
-    assert sum(len(y) for _, y, _ in stacked_chunks([_chunk_arrays(model, 19, n)], 3)) == n
+    assert sum(len(y) for _, y, _ in stream_chunks(_chunk_arrays(model, 19, n), 3)) == n
     short, long = sample_arrays(model, n, seed=19), sample_arrays(model, 2 * CHUNK + 7, seed=19)
     for a, b in zip(short, long):
         assert np.array_equal(a, b[:n])
-
-
-def _copied(stream, d):
-    """A stream's chunks, each copied out of the chunk buffer before the next is written."""
-    return [tuple(a[:, 0].copy() for a in chunk) for chunk in stacked_chunks([stream], d)]
 
 
 def test_array_chunks_visit_rows_in_order(clean_model):
     x, y, b = sample_arrays(clean_model, 2500, seed=3)
     corrupted = b != 0.0
     order = np.arange(2500)[::-1]
-    chunks = _copied(array_chunks(x, y, corrupted, order), 3)
+    chunks = stream_chunks(array_chunks(x, y, corrupted, order), 3)
     assert [len(c[1]) for c in chunks] == [CHUNK, CHUNK, 2500 - 2 * CHUNK]
     assert np.array_equal(np.concatenate([c[0] for c in chunks]), x[order])
     assert np.array_equal(np.concatenate([c[1] for c in chunks]), y[order])
-    plain = _copied(array_chunks(x, y, corrupted), 3)
+    plain = stream_chunks(array_chunks(x, y, corrupted), 3)
     assert np.array_equal(np.concatenate([c[1] for c in plain]), y)
-
-
-
-def test_stacked_streams_must_write_chunks_of_one_length(clean_model):
-    # a shorter chunk would leave the rows of an earlier one in its slice of the buffer
-    x, y, b = sample_arrays(clean_model, 2 * CHUNK, seed=3)
-    with pytest.raises(ValueError, match="unequal lengths"):
-        list(stacked_chunks([array_chunks(x, y, b), array_chunks(x[:1500], y[:1500], b[:1500])], 3))
 
 
 def test_identity_design_draws_equal_the_product_with_eye(clean_model):

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from streamrobust.core import (
     no_outliers,
     point_outliers,
 )
-from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays, stacked_chunks
+from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays
 from streamrobust.optimizer import Estimator, oracle_ls_run, oracle_row, run, run_batch
 
 from scalar_reference import SgdState, sgd_step
@@ -143,7 +144,7 @@ def _engine_streams(d, n, streams):
 @given(engine_configs())
 def test_engine_rows_match_separate_reference_loops(config):
     models, arrays, grid = zip(*_engine_streams(*config))
-    records = run_batch(grid, stacked_chunks([array_chunks(*a) for a in arrays], models[0].d), models)
+    records = run_batch(grid, [array_chunks(*a) for a in arrays], models)
     for model, stream, rows, recs in zip(models, arrays, grid, records):
         for row, rec in zip(rows, recs):
             errs, state, min_r = _reference(stream, row, model)
@@ -173,7 +174,7 @@ def test_engine_trajectories_match_the_reference_at_wide_dimensions(d):
         x, y, _ = sample_arrays(model, n, seed=10 * d + s)
         corrupted = rng.random(n) < 0.2
         arrays.append((x, np.where(corrupted, y + 50.0, y), corrupted))
-    records = run_batch([rows] * 3, stacked_chunks([array_chunks(*a) for a in arrays], d), models)
+    records = run_batch([rows] * 3, [array_chunks(*a) for a in arrays], models)
     for model, stream, recs in zip(models, arrays, records):
         for row, rec in zip(rows, recs):
             _, state, min_r = _reference(stream, row, model)
@@ -202,7 +203,7 @@ def test_checkpoints_on_chunk_edges_match_the_reference():
     for s, model in enumerate(models):
         x, y, _ = sample_arrays(model, n, seed=s)
         arrays.append((x, np.where(corrupted, y + 50.0, y), corrupted))
-    records = run_batch([rows] * 2, stacked_chunks([array_chunks(*a) for a in arrays], d), models)
+    records = run_batch([rows] * 2, [array_chunks(*a) for a in arrays], models)
     for model, stream, recs in zip(models, arrays, records):
         for row, rec in zip(rows, recs):
             errs, state, min_r = _reference(stream, row, model)
@@ -241,7 +242,7 @@ def test_a_stream_records_the_same_alone_and_in_a_group(config):
 
     def call(streams):
         return run_batch(
-            [grid[s] for s in streams], stacked_chunks([_chunk_arrays(models[s], seeds[s], n) for s in streams], models[0].d),
+            [grid[s] for s in streams], [_chunk_arrays(models[s], seeds[s], n) for s in streams],
             [models[s] for s in streams], record_iterates=True,
         )
 
@@ -265,8 +266,8 @@ def test_a_checkpoint_errors_do_not_depend_on_its_call_mates(d):
     rows = [Estimator(L1(), StepSchedule(0.5 / d), n, plan) for plan in (sparse, np.arange(1, n + 1))]
 
     def call(streams):
-        chunks = stacked_chunks([_chunk_arrays(models[s], s + 1, n) for s in streams], d)
-        return run_batch([rows] * len(streams), chunks, [models[s] for s in streams])
+        drawn = [_chunk_arrays(models[s], s + 1, n) for s in streams]
+        return run_batch([rows] * len(streams), drawn, [models[s] for s in streams])
 
     order = [2, 0, 1]
     grouped = dict(zip(order, call(order)))
@@ -289,7 +290,7 @@ def test_an_identity_design_records_the_bits_of_an_explicit_identity(d):
     corrupted = rng.random(n) < 0.2
     stream = (x, np.where(corrupted, y + 50.0, y), corrupted)
     rows = [Estimator(L1(), StepSchedule(0.5 / d), n), Estimator(Huber(0.7), StepSchedule(0.2 / d, CONSTANT), n)]
-    (same, explicit) = (run_batch([rows], stacked_chunks([array_chunks(*stream)], d), [m])[0] for m in models)
+    (same, explicit) = (run_batch([rows], [array_chunks(*stream)], [m])[0] for m in models)
     for a, b in zip(same, explicit):
         for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -304,10 +305,10 @@ def test_a_checkpoint_at_every_step_adds_no_chunk_sized_array_to_the_peak():
 
     def traced_peak(plan):
         grid = [[Estimator(loss, StepSchedule(0.2 / d), n, plan) for loss in losses] for _ in models]
-        chunks = stacked_chunks([_chunk_arrays(m, s, n) for s, m in enumerate(models)], d)
+        streams = [_chunk_arrays(m, s, n) for s, m in enumerate(models)]
         tracemalloc.start()
         try:
-            run_batch(grid, chunks, models)
+            run_batch(grid, streams, models)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -317,27 +318,25 @@ def test_a_checkpoint_at_every_step_adds_no_chunk_sized_array_to_the_peak():
     assert every - one < CHUNK * d * 8
 
 
+def _nan_first(write, x, y, b):
+    """Fill the slice with NaN, then let `write` write its rows."""
+    for a in (x, y, b):
+        a.fill(math.nan)
+    return write(x, y, b)
+
+
 def test_the_engine_is_done_with_a_chunk_before_it_asks_for_the_next(point_model):
-    # stacked_chunks writes each chunk over the one before: a chunk overwritten with
-    # NaN as soon as the next is asked for must change no record
+    # each chunk is written over the one before: writers that fill their whole slice
+    # with NaN before writing their rows must change no record, the short last chunk's too
     n = 2 * CHUNK + 300
     x, y, b = sample_arrays(point_model, n, seed=5)
     rows = [
         Estimator(Huber(0.5), StepSchedule(0.2), n),
         Estimator(L2(), StepSchedule(0.05, CONSTANT), int(np.count_nonzero(b == 0.0)), clean_only=True),
     ]
-
-    def copied():
-        return [tuple(a.copy() for a in chunk) for chunk in stacked_chunks([array_chunks(x, y, b)], point_model.d)]
-
-    def scribbled():
-        for chunk in copied():
-            yield chunk
-            for a in chunk:
-                a.fill(math.nan)
-
-    (kept,) = run_batch([rows], copied(), [point_model], record_iterates=True)
-    (overwritten,) = run_batch([rows], scribbled(), [point_model], record_iterates=True)
+    (kept,) = run_batch([rows], [array_chunks(x, y, b)], [point_model], record_iterates=True)
+    scribbled = [partial(_nan_first, write) for write in array_chunks(x, y, b)]
+    (overwritten,) = run_batch([rows], [scribbled], [point_model], record_iterates=True)
     for a, b in zip(kept, overwritten):
         for name in ("steps", "err_h", "err_2", "err_last_h", "theta_bar", "theta_last", "iterates"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -355,19 +354,18 @@ def test_a_stream_longer_than_a_row_is_refused_by_name(clean_only, point_model):
     else:
         short, name, at = Estimator(Huber(0.5), StepSchedule(0.2), 100), "huber(0.5)", 100
     rows = [[Estimator(L1(), StepSchedule(0.2), 600), short]]
-    chunks = stacked_chunks([array_chunks(x, y, b)], point_model.d)
     with pytest.raises(ValueError, match=rf"stream runs past the n_steps={short.n_steps} of {re.escape(name)} at stream index {at}$"):
-        run_batch(rows, chunks, [point_model])
+        run_batch(rows, [array_chunks(x, y, b)], [point_model])
 
 
 def test_a_grid_needs_one_model_and_equal_rows_per_stream(clean_model, point_model):
     row = Estimator(L1(), StepSchedule(0.2), 10)
     for grid, models in [([[row], [row, row]], [clean_model] * 2), ([[row]], [clean_model] * 2), ([], [])]:
         with pytest.raises(ValueError, match="same number of rows"):
-            run_batch(grid, stacked_chunks([_chunk_arrays(m, s, 10) for s, m in enumerate(models)], clean_model.d), models)
+            run_batch(grid, [_chunk_arrays(m, s, 10) for s, m in enumerate(models)], models)
     with pytest.raises(ValueError, match="same dimension"):
-        chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 10), _chunk_arrays(clean_model, 2, 10)], clean_model.d)
-        run_batch([[row], [row]], chunks, [clean_model, point_model])
+        streams = [_chunk_arrays(clean_model, 1, 10), _chunk_arrays(clean_model, 2, 10)]
+        run_batch([[row], [row]], streams, [clean_model, point_model])
 
 
 def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
@@ -378,7 +376,7 @@ def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
         Estimator(L1(), StepSchedule(0.2), 3000),
         Estimator(L2(), StepSchedule(0.05, CONSTANT), oracle.steps[-1], clean_only=True),
     ]
-    ((_, masked),) = run_batch([rows], stacked_chunks([array_chunks(x, y, corrupted)], point_model.d), [point_model])
+    ((_, masked),) = run_batch([rows], [array_chunks(x, y, corrupted)], [point_model])
     assert np.array_equal(masked.steps, oracle.steps)
     assert np.array_equal(masked.theta_last, oracle.theta_last)
     assert masked.min_abs_residual == oracle.min_abs_residual
@@ -453,10 +451,9 @@ def test_the_earliest_poisoned_row_is_named_its_response_first(clean_model):
     # across streams too: stream 1's row 800 comes before stream 0's row 1200
     other = x.copy()
     other[800, 0] = math.inf
-    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(other, y, b)], clean_model.d)
     rows = [[Estimator(L2(), StepSchedule(0.05, CONSTANT), 2000)]] * 2
     with pytest.raises(NonFiniteError, match=r"^non-finite feature inf at stream index 800 of stream 1$"):
-        run_batch(rows, chunks, [clean_model] * 2)
+        run_batch(rows, [array_chunks(x, y, b), array_chunks(other, y, b)], [clean_model] * 2)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -473,16 +470,15 @@ def test_a_non_finite_feature_is_named_instead_of_a_divergence(value, clean_mode
     b[1500] = 1.0
     rows = [[oracle_row(0.05, 1999, 2000, clean_model)], [oracle_row(0.05, 2000, 2000, clean_model)]]
     clean = np.zeros(2000)
-    chunks = stacked_chunks([array_chunks(x, y, b), array_chunks(x, y, clean)], clean_model.d)
     with pytest.raises(NonFiniteError, match=named[:-1] + " of stream 0$"):
-        run_batch(rows, chunks, [clean_model] * 2)
+        run_batch(rows, [array_chunks(x, y, b), array_chunks(x, y, clean)], [clean_model] * 2)
 
 
 def test_iterates_are_the_iterate_before_every_stream_row_for_a_clean_only_row(point_model):
     x, y, b = sample_arrays(point_model, 300, seed=5)
     n_clean = int(np.count_nonzero(b == 0.0))
     ((rec,),) = run_batch(
-        [[oracle_row(0.05, n_clean, 300, point_model)]], stacked_chunks([array_chunks(x, y, b)], 4), [point_model],
+        [[oracle_row(0.05, n_clean, 300, point_model)]], [array_chunks(x, y, b)], [point_model],
         record_iterates=True,
     )
     assert rec.iterates.shape == (300, 4)
@@ -496,10 +492,9 @@ def test_iterates_are_the_iterate_before_every_stream_row_for_a_clean_only_row(p
 
 def test_rows_of_another_dimension_than_the_model_are_refused_by_name(clean_model):
     flat = RegressionModel(np.array([0.5, -0.5]), Identity(2), 1.0, no_outliers())
-    refused = r"chunk has X \(50, 1, 3\), .* but the grid has stream count 1 and the models dimension 2$"
-    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50)], clean_model.d)
+    refused = r"^stream rows have dimension 3, but the models have dimension 2$"
     with pytest.raises(ValueError, match=refused):
-        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], chunks, [flat])
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], [_chunk_arrays(clean_model, 1, 50)], [flat])
     stream = sample_arrays(clean_model, 50, seed=1)
     with pytest.raises(ValueError, match=refused):
         run(stream, L1(), StepSchedule(0.3), 50, model=flat)
@@ -510,24 +505,30 @@ def test_rows_of_another_dimension_than_the_model_are_refused_by_name(clean_mode
 
 
 @pytest.mark.parametrize("drawn, stepped", [(2, 1), (1, 2)])
-def test_chunks_of_another_stream_count_than_the_grid_are_refused_by_name(drawn, stepped, clean_model):
-    chunks = stacked_chunks([_chunk_arrays(clean_model, s, 50) for s in range(drawn)], clean_model.d)
-    refused = rf"chunk has X \(50, {drawn}, 3\), .* but the grid has stream count {stepped} and the models dimension 3$"
+def test_another_stream_count_than_the_grid_is_refused_by_name(drawn, stepped, clean_model):
+    # zip would step the grid on the streams it has and leave the rest of the buffer unwritten
+    streams = [_chunk_arrays(clean_model, s, 50) for s in range(drawn)]
+    refused = rf"^need one stream for each of the {stepped} models, got {drawn} streams$"
     with pytest.raises(ValueError, match=refused):
-        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]] * stepped, chunks, [clean_model] * stepped)
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]] * stepped, streams, [clean_model] * stepped)
 
 
-def test_chunk_arrays_that_disagree_are_refused_by_name(clean_model):
-    x, y, corrupted = np.zeros((50, 1, 3)), np.zeros((40, 1)), np.zeros((50, 1), dtype=bool)
-    with pytest.raises(ValueError, match=r"chunk has X \(50, 1, 3\), y \(40, 1\) and corrupted \(50, 1\), but"):
-        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], [(x, y, corrupted)], [clean_model])
+@pytest.mark.parametrize("short", [1500, CHUNK], ids=["short-chunk", "fewer-chunks"])
+def test_streams_must_write_chunks_of_one_length(short, clean_model):
+    # a shorter chunk would leave the rows of an earlier one in its slice of the buffer,
+    # and a stream that ends a chunk early would cut its call mates short
+    x, y, b = sample_arrays(clean_model, 2 * CHUNK, seed=3)
+    rows = [[Estimator(L1(), StepSchedule(0.3), 2 * CHUNK)], [Estimator(L1(), StepSchedule(0.3), short)]]
+    streams = [array_chunks(x, y, b), array_chunks(x[:short], y[:short], b[:short])]
+    with pytest.raises(ValueError, match=rf"^streams wrote chunks of unequal lengths \[{short - CHUNK}, {CHUNK}\]$"):
+        run_batch(rows, streams, [clean_model] * 2)
 
 
 def test_record_iterates_is_keyword_only(clean_model):
     # a start passed by position, as run_batch once took one, is not read as the flag
-    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50)], clean_model.d)
+    streams = [_chunk_arrays(clean_model, 1, 50)]
     with pytest.raises(TypeError):
-        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], chunks, [clean_model], np.zeros(3))
+        run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], streams, [clean_model], np.zeros(3))
 
 
 def test_l2_divergence_fails_loudly():
@@ -540,6 +541,6 @@ def test_an_error_past_the_largest_double_fails_loudly(clean_model):
     # L1 steps are gamma ||x|| long whatever the response, so the iterates stay
     # finite while their squared distance to theta* overflows
     rows = [[Estimator(L1(), StepSchedule(1e200), 50)], [Estimator(L1(), StepSchedule(0.2), 50)]]
-    chunks = stacked_chunks([_chunk_arrays(clean_model, 1, 50), _chunk_arrays(clean_model, 2, 50)], clean_model.d)
+    streams = [_chunk_arrays(clean_model, 1, 50), _chunk_arrays(clean_model, 2, 50)]
     with pytest.raises(NonFiniteError, match="err_h contains a non-finite value"):
-        run_batch(rows, chunks, [clean_model] * 2)
+        run_batch(rows, streams, [clean_model] * 2)

@@ -9,9 +9,11 @@ from streamrobust.core import (
     Identity,
     RegressionModel,
     StepSchedule,
+    derive_seed,
     no_outliers,
     point_outliers,
 )
+from streamrobust.datagen import CHUNK
 from streamrobust.verify import (
     CHECK_GROUPS,
     CheckResult,
@@ -183,6 +185,23 @@ def test_moment_bounds_within_band():
     assert [r.name for r in results] == ["moment_bounds.second", "moment_bounds.fourth"]
     for r in results:
         assert r.value <= 3.0
+
+
+@pytest.mark.parametrize(
+    "n, replications, seed, lines",
+    [
+        # verify's own size, in one chunk
+        (400, 120, 20260816, ["second,pass,-9.011482039227255", "fourth,pass,-42.38716786848983"]),
+        # across two chunks
+        (CHUNK + 100, 100, 1, ["second,pass,-4.978859003388977", "fourth,pass,-20.864484092631816"]),
+    ],
+    ids=["verify-size", "two-chunks"],
+)
+def test_moment_bounds_keep_their_bytes(n, replications, seed, lines):
+    model = RegressionModel(np.array([0.8, -0.6]), Identity(2), 1.0, point_outliers(0.2, 50.0))
+    schedule = StepSchedule(1.0 / model.design.r2)
+    results = check_moment_bounds(model, schedule, n, replications, derive_seed(seed, "moments"))
+    assert [r.line() for r in results] == ["moment_bounds." + line for line in lines]
 
 
 def test_moment_bounds_validation():
