@@ -484,9 +484,7 @@ def fit_rate_slope(record: RunRecord, window: float = 0.5):
     errs = record.err_h[-count:]
     if np.any(errs <= 0.0):
         raise ValueError("err_H must be positive to fit a log-log slope")
-    log_n = np.log(steps)
-    if float(np.ptp(log_n)) == 0.0:
-        raise ValueError("checkpoint steps are constant, slope is undefined")
+    log_n = np.log(steps)  # the steps strictly increase, as every record's do
     log_e = np.log(errs)
     slope, intercept = np.polyfit(log_n, log_e, 1)
     fitted = slope * log_n + intercept

@@ -43,15 +43,15 @@ to step them. Every row starts at 0, checks its step count and plan once,
 as its `Estimator` is made, and is built with its config digest by
 `sgd_row` (averaged SGD on a loss) or `oracle_row` (the clean-data
 least-squares oracle). A recorded path holds each row's iterate before
-every row of its stream. `run` and `oracle_ls_run` drive the engine for one
-such row, on a model (drawn chunk by chunk) or on a stored (X, y,
-corrupted) triple.
+every row of its stream. `run` drives the engine for one `sgd_row`, on a
+model (drawn chunk by chunk) or on a stored (X, y, corrupted) triple; the
+oracle on stored arrays is its masked row,
+`run_batch([[oracle_row(...)]], [array_chunks(x, y, b)], [model])`.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Callable, Iterable, List, Optional, Sequence, Union
@@ -64,7 +64,6 @@ from numpy._core.umath import clip as _clip
 
 from .core import (
     CONSTANT,
-    Huber,
     Identity,
     L1,
     L2,
@@ -151,8 +150,7 @@ class Estimator:
 
     def __post_init__(self):
         object.__setattr__(self, "n_steps", _step_count(self.n_steps))
-        if not isinstance(self.loss, (L1, L2, Huber)):
-            raise TypeError(f"not a loss: {self.loss!r}")
+        loss_label(self.loss)  # a TypeError unless it is a loss
         object.__setattr__(self, "plan", _validated_checkpoints(self.plan, self.n_steps))
 
 
@@ -454,17 +452,7 @@ def _raise_divergence(grid, x, y, residuals, theta, eligible, done, offset) -> N
 
 
 # ---------------------------------------------------------------------------
-# single-estimator drivers
-
-
-def _stream_arrays(stream):
-    """(X, y, corrupted) as float, float and bool arrays; a nonzero corruption value b flags its row."""
-    x, y, corrupted = stream
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    corrupted = np.asarray(corrupted, dtype=bool)
-    if x.ndim != 2 or y.shape != (x.shape[0],) or corrupted.shape != y.shape:
-        raise ValueError(f"stream arrays disagree: X {x.shape}, y {y.shape}, corrupted {corrupted.shape}")
-    return x, y, corrupted
+# the single-estimator driver
 
 
 def run(
@@ -495,25 +483,9 @@ def run(
     if drawn:
         stream = _chunk_arrays(source, seed, row.n_steps)
     else:
-        stream = array_chunks(*(a[: row.n_steps] for a in _stream_arrays(source)))
+        x, y, b = (np.asarray(a, dtype=float) for a in source)
+        if x.ndim != 2 or y.shape != (x.shape[0],) or b.shape != y.shape:
+            raise ValueError(f"stream arrays disagree: X {x.shape}, y {y.shape}, corrupted {b.shape}")
+        stream = array_chunks(*(a[: row.n_steps] for a in (x, y, b)))
     ((record,),) = run_batch([[row]], [stream], [model], record_iterates=record_iterates)
-    return record
-
-
-def oracle_ls_run(stream: Sequence[np.ndarray], gamma0: float, *, model: RegressionModel) -> RunRecord:
-    """Clean-data baseline: the `oracle_row`, constant-step averaged squared-loss SGD from 0.
-
-    `stream` is an (X, y, corrupted) triple. Every row flagged as corrupted
-    is dropped before it reaches the estimator; this is the one consumer
-    allowed to read the flags. Every clean row is consumed, with the
-    geometric checkpoints. (Within a cell, the engine instead masks the
-    oracle row off on the corrupted rows; here every row it gets is clean.)
-    """
-    x, y, corrupted = _stream_arrays(stream)
-    clean = np.flatnonzero(~corrupted)
-    row = oracle_row(gamma0, clean.size, y.size, model)
-    try:
-        ((record,),) = run_batch([[row]], [array_chunks(x, y, corrupted, clean)], [model])
-    except NonFiniteError as exc:  # the engine counts the clean rows it was given: name the caller's row
-        raise NonFiniteError(re.sub(r"(?<=stream index )\d+", lambda m: str(clean[int(m[0])]), str(exc))) from None
     return record

@@ -12,7 +12,8 @@ from streamrobust.core import (
     no_outliers,
     point_outliers,
 )
-from streamrobust.datagen import CHUNK
+from streamrobust.datagen import CHUNK, array_chunks
+from streamrobust.optimizer import oracle_row, run_batch
 
 
 def stream_chunks(stream, d):
@@ -23,6 +24,14 @@ def stream_chunks(stream, d):
         rows = write(x, y, b)
         chunks.append((x[:rows], y[:rows], b[:rows]))
     return chunks
+
+
+def masked_oracle(stream, gamma0, model):
+    """The experiments' oracle on stored (X, y, b) arrays: `oracle_row`, masked off where b != 0."""
+    x, y, b = stream
+    oracle = oracle_row(gamma0, int(np.count_nonzero(b == 0.0)), y.size, model)
+    ((record,),) = run_batch([[oracle]], [array_chunks(x, y, b)], [model])
+    return record
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from streamrobust.core import (
     substream,
 )
 from streamrobust.datagen import _chunk_arrays, sample_arrays
-from streamrobust.optimizer import Estimator, oracle_ls_run, run, run_batch
+from streamrobust.optimizer import Estimator, run, run_batch
 from streamrobust.verify import (
     check_avg_iterate_bound,
     check_error_loss_link,
@@ -51,6 +51,8 @@ from streamrobust.verify import (
     mc_expected_loss,
     random_iterate_sequences,
 )
+
+from conftest import masked_oracle
 
 SEED = 2026
 # The five-replication slope estimate scatters about 0.05 around its
@@ -138,7 +140,7 @@ def test_criterion_03_conditioning_insensitivity(identity_run, spectrum_run):
     cov = Spectrum(tuple(1.0 / k for k in range(1, RATE_D + 1)), basis_seed=5)
     model = _rate_model(cov, point_outliers(0.2, 1000.0))
     stream = sample_arrays(model, 20000, seed=derive_seed(SEED, "oracle3"))
-    oracle = oracle_ls_run(stream, 0.5 / model.design.r2, model=model)
+    oracle = masked_oracle(stream, 0.5 / model.design.r2, model)
 
     ok = worst <= 3.0
     _report(

@@ -101,6 +101,8 @@ def test_convergence_config_lists_every_error():
     joined = "\n".join(errors)
     for key in ("n_samples", "dim", "sigma", "eta", "losses", "preset", "bogus"):
         assert key in joined
+    _, errors = config_from_mapping(ConvergenceConfig, {"sigma": "inf", "losses": "l1,l1"})
+    assert errors == ["sigma: must be finite, got inf", "losses: duplicate entries in ('l1', 'l1')"]
 
 
 def test_breakdown_config_defaults_and_grid():
@@ -129,12 +131,13 @@ def test_config_defaults_round_trip_through_the_parser(config_class):
 def test_breakdown_config_lists_every_error():
     cfg, errors = config_from_mapping(
         BreakdownConfig,
-        {"preset": "bogus", "covariance": "diag", "losses": "l1", "eta_grid": "0.2, 0.1", "seed": "-1"}
+        {"preset": "bogus", "covariance": "diag", "losses": "l1", "eta_grid": "0.2, 0.1", "seed": "-1", "estimators": ","}
     )
     assert cfg is None
     keys = sorted(e.split(":")[0] for e in errors)
-    assert keys == ["covariance", "eta_grid", "losses", "preset", "seed"]
+    assert keys == ["covariance", "estimators", "eta_grid", "losses", "preset", "seed"]
     assert "losses: unknown key" in errors  # a convergence key
+    assert "estimators: empty list" in errors
 
 
 def test_breakdown_config_grid_errors():

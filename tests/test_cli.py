@@ -99,9 +99,14 @@ def test_experiment_runs_leave_numpy_ma_unimported(tmp_path):
     assert out.stdout.strip() == "False"
 
 
-def test_bad_jobs_and_seed_rejected(capsys):
-    assert main(["verify", "--jobs", "0"]) == 2
-    assert main(["verify", "--seed", "-3"]) == 2
+def test_bad_jobs_and_seed_rejected(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    for command in ("breakdown", "convergence"):  # verify has no --jobs: argparse would refuse it first
+        assert main([command, "--jobs", "0", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: --jobs must be >= 1, got 0\n"
+    assert main(["verify", "--seed", "-3", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -3\n"
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +320,14 @@ def test_config_without_its_section_or_with_a_stray_one_is_usage_error(tmp_path,
     assert main(["breakdown", "--config", cfg, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config") and "[breakdown]" in err and found in err
+    assert not out_dir.exists()
+
+
+def test_a_config_without_a_section_header_is_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "n_samples = 40\n")
+    out_dir = tmp_path / "out"
+    assert main(["breakdown", "--config", cfg, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed config {cfg!r}: File contains no section headers.")
     assert not out_dir.exists()
 
 

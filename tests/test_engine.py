@@ -27,8 +27,9 @@ from streamrobust.core import (
     point_outliers,
 )
 from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays
-from streamrobust.optimizer import Estimator, oracle_ls_run, oracle_row, run, run_batch
+from streamrobust.optimizer import Estimator, oracle_row, run, run_batch
 
+from conftest import masked_oracle
 from scalar_reference import SgdState, sgd_step
 
 LOSSES = [L1(), L2(), Huber(0.7)]
@@ -368,13 +369,15 @@ def test_a_grid_needs_one_model_and_equal_rows_per_stream(clean_model, point_mod
         run_batch([[row], [row]], streams, [clean_model, point_model])
 
 
-def test_masked_row_in_a_cell_matches_the_oracle_driver(point_model):
+def test_masked_row_in_a_cell_matches_least_squares_on_the_clean_rows(point_model):
     x, y, b = sample_arrays(point_model, 3000, seed=21)
     corrupted = b != 0.0
-    oracle = oracle_ls_run((x, y, corrupted), 0.05, model=point_model)
+    clean = ~corrupted
+    n_clean = int(np.count_nonzero(clean))
+    oracle = run((x[clean], y[clean], b[clean]), L2(), StepSchedule(0.05, CONSTANT), n_clean, model=point_model)
     rows = [
         Estimator(L1(), StepSchedule(0.2), 3000),
-        Estimator(L2(), StepSchedule(0.05, CONSTANT), oracle.steps[-1], clean_only=True),
+        Estimator(L2(), StepSchedule(0.05, CONSTANT), n_clean, clean_only=True),
     ]
     ((_, masked),) = run_batch([rows], [array_chunks(x, y, corrupted)], [point_model])
     assert np.array_equal(masked.steps, oracle.steps)
@@ -424,20 +427,20 @@ def test_run_names_the_nan_response(loss, clean_model):
 def test_oracle_names_a_nan_clean_response(clean_model):
     stream = _with_nan_response(clean_model, 500, at=7)
     with pytest.raises(NonFiniteError, match="stream index 7"):
-        oracle_ls_run(stream, 0.05, model=clean_model)
+        masked_oracle(stream, 0.05, clean_model)
 
 
 @pytest.mark.parametrize("where", ["response", "feature"])
 def test_the_oracle_names_a_non_finite_value_by_its_index_in_the_callers_stream(where, clean_model):
     model = RegressionModel(clean_model.theta_star, Identity(3), 1.0, point_outliers(0.25, 1000.0))
     x, y, b = sample_arrays(model, 2000, seed=3)
-    assert b[1500] == 0.0 and np.count_nonzero(b[:1500]) == 360  # the engine gets row 1500 as its row 1140
+    assert b[1500] == 0.0 and np.count_nonzero(b[:1500]) == 360  # a clean row after 360 corrupted ones
     if where == "response":
         y[1500] = math.nan
     else:
         x[1500, 1] = math.inf
     with pytest.raises(NonFiniteError, match=rf"^non-finite {where} (nan|inf) at stream index 1500$"):
-        oracle_ls_run((x, y, b), 0.05, model=model)
+        masked_oracle((x, y, b), 0.05, model)
 
 
 def test_the_earliest_poisoned_row_is_named_its_response_first(clean_model):
@@ -465,7 +468,7 @@ def test_a_non_finite_feature_is_named_instead_of_a_divergence(value, clean_mode
         with pytest.raises(NonFiniteError, match=named):
             run((x, y, b), loss, StepSchedule(0.3), 2000, model=clean_model)
     with pytest.raises(NonFiniteError, match=named):
-        oracle_ls_run((x, y, b), 0.05, model=clean_model)
+        masked_oracle((x, y, b), 0.05, clean_model)
     # a clean_only row skips a corrupted row's step, but its residual there is non-finite and r * 0 is NaN
     b[1500] = 1.0
     rows = [[oracle_row(0.05, 1999, 2000, clean_model)], [oracle_row(0.05, 2000, 2000, clean_model)]]
@@ -500,8 +503,6 @@ def test_rows_of_another_dimension_than_the_model_are_refused_by_name(clean_mode
         run(stream, L1(), StepSchedule(0.3), 50, model=flat)
     with pytest.raises(ValueError, match=refused):
         run(clean_model, L1(), StepSchedule(0.3), 50, model=flat)
-    with pytest.raises(ValueError, match=refused):
-        oracle_ls_run(stream, 0.05, model=flat)
 
 
 @pytest.mark.parametrize("drawn, stepped", [(2, 1), (1, 2)])
@@ -535,6 +536,13 @@ def test_l2_divergence_fails_loudly():
     model = RegressionModel(np.ones(10) / math.sqrt(10.0), Identity(10), 1.0, point_outliers(0.2, 1000.0))
     with pytest.raises(NonFiniteError, match=r"l2 with gamma0=50.0 diverged: non-finite iterate by step \d+"):
         run(model, L2(), StepSchedule(50.0), 2000, seed=1)
+    # every residual is finite, but a chunk's last update overflows the iterate
+    flat = RegressionModel(np.zeros(2), Identity(2), 1.0, no_outliers())
+    for n, last in [(1, 0), (CHUNK, CHUNK - 1), (CHUNK + 5, CHUNK - 1)]:
+        x, y = np.zeros((n, 2)), np.zeros(n)
+        x[last], y[last] = 2.0, 1e308
+        with pytest.raises(NonFiniteError, match=rf"^l2 with gamma0=1.0 diverged: non-finite iterate by step {last + 1}$"):
+            run((x, y, np.zeros(n)), L2(), StepSchedule(1.0, CONSTANT), n, model=flat)
 
 
 def test_an_error_past_the_largest_double_fails_loudly(clean_model):

@@ -14,8 +14,9 @@ from streamrobust.core import (
     point_outliers,
 )
 from streamrobust.datagen import sample_arrays
-from streamrobust.optimizer import Estimator, default_checkpoints, default_gamma0, oracle_ls_run, oracle_row, run, sgd_row
+from streamrobust.optimizer import Estimator, default_checkpoints, default_gamma0, oracle_row, run, sgd_row
 
+from conftest import masked_oracle
 from scalar_reference import SgdState, sgd_step
 
 
@@ -198,6 +199,11 @@ def test_an_estimator_keeps_its_checked_step_count_and_plan(clean_model):
     assert row.digest == sgd_row(L1(), StepSchedule(0.3), 100, 1, clean_model, [10, 100]).digest
 
 
+def test_an_estimator_refuses_what_is_not_a_loss():
+    with pytest.raises(TypeError, match="not a loss"):
+        Estimator(object(), StepSchedule(1.0), 3)
+
+
 def test_run_requires_model_for_raw_stream(clean_model):
     stream = sample_arrays(clean_model, 10, seed=2)
     with pytest.raises(ValueError, match="reference model"):
@@ -209,7 +215,7 @@ def test_stream_arrays_must_agree_in_length(clean_model):
     with pytest.raises(ValueError, match="stream arrays disagree"):
         run((x[:10], y, b), L1(), StepSchedule(0.3), 10, model=clean_model)
     with pytest.raises(ValueError, match="stream arrays disagree"):
-        oracle_ls_run((x, y, b[:5]), 0.05, model=clean_model)
+        run((x, y, b[:5]), L1(), StepSchedule(0.3), 10, model=clean_model)
 
 
 def test_run_theta0_and_iterates(clean_model):
@@ -252,39 +258,21 @@ def test_huber_small_tau_tracks_scaled_l1(clean_model):
 # least squares oracle
 
 
-def test_oracle_filters_corrupted(point_model):
-    x, y, b = sample_arrays(point_model, 4000, seed=6)
-    clean = b == 0.0
-    n_clean = int(np.count_nonzero(clean))
-    rec = oracle_ls_run((x, y, b != 0.0), 0.05, model=point_model)
-    assert rec.steps[-1] == n_clean
-    # unaffected by the corruption: same run on the clean subset directly
-    direct = run(
-        (x[clean], y[clean], b[clean]),
-        L2(),
-        StepSchedule(0.05, CONSTANT),
-        n_clean,
-        model=point_model,
-    )
-    assert np.array_equal(rec.theta_bar, direct.theta_bar)
-
-
 def test_oracle_converges(point_model):
     stream = sample_arrays(point_model, 20000, seed=12)
-    rec = oracle_ls_run(stream, 0.05, model=point_model)
+    rec = masked_oracle(stream, 0.05, point_model)
     assert rec.final_err_h < rec.err_h[0] / 100.0
 
 
 def test_oracle_error_cases():
     model = RegressionModel(np.zeros(2), Identity(2), 1.0, point_outliers(0.5, 10.0))
-    x, y, _ = sample_arrays(model, 100, seed=1)
     with pytest.raises(ValueError, match="all 100 samples are corrupted"):
-        oracle_ls_run((x, y, np.ones(100, dtype=bool)), 0.05, model=model)
+        oracle_row(0.05, 0, 100, model)
 
 
 def test_oracle_vs_contaminated_l2(point_model):
     # the whole point of the oracle: squared loss on the full stream is wrecked
     stream = sample_arrays(point_model, 5000, seed=14)
-    oracle = oracle_ls_run(stream, 0.05, model=point_model)
+    oracle = masked_oracle(stream, 0.05, point_model)
     naive = run(stream, L2(), StepSchedule(default_gamma0(point_model)), 5000, model=point_model)
     assert naive.final_err_h > 100.0 * oracle.final_err_h
