@@ -39,9 +39,11 @@ def _chunk_arrays(model: RegressionModel, seed: int, n: int) -> Iterator[Callabl
     n is required: an engine row steps on every row of its stream, so a
     stream must end where its rows' steps do.
 
-    The corruption substream always burns three uniforms per sample (flag,
-    component pick, position), whether or not the flag fires, keeping stream
-    alignment independent of the realized flags.
+    Under a law with eta > 0 the corruption substream burns three uniforms
+    per sample (flag, component pick, position), whether or not the flag
+    fires, keeping stream alignment independent of the realized flags. A
+    clean law (eta 0) draws none and writes b = 0; the features and noise
+    come from their own substreams, so they are the same either way.
     """
     # z @ eye(d) == z bit for bit, so an identity design skips the product
     chol_t = None if isinstance(model.covariance, Identity) else model.design.chol.T
@@ -64,6 +66,9 @@ def _draw_chunk(model, chol_t, rows, rng_x, rng_noise, rng_outlier, x, y, b) -> 
         np.matmul(x, chol_t, out=x)  # an overlapping ufunc output: numpy works on a copy of x
     np.matmul(x, model.theta_star, out=y)
     y[:rows] += rng_noise.standard_normal(rows) * model.sigma
+    if model.outliers.eta == 0.0:  # no flag can fire: every b would be 0
+        b[:rows] = 0.0
+        return rows
     u = rng_outlier.random(2 * CHUNK + rows)
     u_flag, u_comp, u_pos = u[:rows], u[CHUNK : CHUNK + rows], u[2 * CHUNK :]
     b[:rows] = np.where(u_flag < model.outliers.eta, model.outliers.values_from_uniforms(u_comp, u_pos), 0.0)

@@ -10,11 +10,17 @@ beyond four standard errors.
 The finite-difference gradient agreement is the keystone: it ties the closed
 forms of `analytic` to the brute-force sampling oracle with no shared code
 path beyond the model definition itself.
+
+The Monte Carlo group runs its models side by side, on up to one thread per
+CPU. Each model draws from its own substream into its own buffers, so the
+report is the same whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -54,6 +60,7 @@ MARGIN_TOL = -1e-10
 SCALE_DRIFT_TOL = -1e-12
 
 _MC_BLOCK = 131072
+_MC_PIECE = 8192  # rows drawn at a time: the draws and their product stay in cache
 
 
 @dataclass(frozen=True)
@@ -95,37 +102,108 @@ def report_lines(results: Sequence[CheckResult]) -> List[str]:
 # brute-force oracles
 
 
-def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int) -> tuple:
+def mc_workspace(d: int) -> tuple:
+    """Buffers for `mc_expected_loss` on models of at most d features, about 2.4 MB at d = 4.
+
+    They are a block-long sum buffer, outlier flags and component uniforms,
+    and one piece buffer of _MC_PIECE rows of d features.
+    """
+    return np.empty(_MC_BLOCK), np.empty(_MC_BLOCK, dtype=bool), np.empty(_MC_BLOCK), np.empty(_MC_PIECE * d)
+
+
+def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int, workspace=None) -> tuple:
     """Monte Carlo estimate (mean, stderr) of E|y - <x, theta>| under the model.
 
     The sample draws from SFC64, not Philox like the data streams: it feeds
-    only a z-score against the closed form, and SFC64 draws faster.
+    only a z-score against the closed form, and SFC64 draws faster. Blocks
+    of _MC_BLOCK draws are drawn in place, into `workspace` (`mc_workspace`,
+    allocated per call if omitted), in pieces of _MC_PIECE rows: a generator
+    keeps no state between calls, so the pieces are the same draws in the
+    same order as the block drawn whole, and each block's sums run over the
+    whole block. The working set is the workspace, about 2.4 MB at d = 4,
+    and a few temporaries of one piece. The result depends only on the
+    model, theta and seed, whichever buffers and thread compute it.
     """
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
     theta = theta_array(np.reshape(theta, -1), model)
     # x = g @ chol.T for standard normal rows g, so <x, shift> = g @ (chol.T @ shift)
     proj = model.design.chol.T @ (model.theta_star - theta)
-    eta = model.outliers.eta
+    d, sigma, outliers = model.d, model.sigma, model.outliers
+    r_all, flag_all, comp_all, piece = mc_workspace(d) if workspace is None else workspace
     rng = substream(seed, "mc", bit_generator=SFC64)
     s1 = 0.0
     s2 = 0.0
     left = n_samples
     while left > 0:
         m = min(_MC_BLOCK, left)
-        r = rng.standard_normal((m, model.d)) @ proj
-        r += rng.standard_normal(m) * model.sigma
-        if eta > 0.0:  # r + 0.0 == r up to the sign of a zero, which |r| and r * r drop
-            u = rng.random(3 * m)  # the flag, component and position blocks
-            r += np.where(u[:m] < eta, model.outliers.values_from_uniforms(u[m : 2 * m], u[2 * m :]), 0.0)
-        s1 += float(np.abs(r).sum())
-        # not r @ r: BLAS splits long dot products across threads, which would
-        # tie the last digits to the thread count
-        s2 += float((r * r).sum())
+        r, flag, comp = r_all[:m], flag_all[:m], comp_all[:m]
+        # each piece: its rows of the block, and a flat view of its length in the piece buffer
+        pieces = [(slice(a, a + k), piece[:k]) for a in range(0, m, _MC_PIECE) for k in [min(_MC_PIECE, m - a)]]
+        for sl, z in pieces:
+            np.matmul(rng.standard_normal(out=piece[: z.size * d].reshape(-1, d)), proj, out=r[sl])
+        for sl, z in pieces:
+            rng.standard_normal(out=z)
+            z *= sigma
+            r[sl] += z
+        if outliers.eta > 0.0:  # the flag, component and position uniforms, each a block in turn
+            for sl, z in pieces:
+                np.less(rng.random(out=z), outliers.eta, out=flag[sl])
+            rng.random(out=comp)  # a point mass ignores them, but they are drawn all the same
+            for sl, z in pieces:
+                # unflagged rows keep r, not r + 0.0: the two differ only in the sign of a zero, which |r| and r * r drop
+                np.add(r[sl], outliers.values_from_uniforms(comp[sl], rng.random(out=z)), out=r[sl], where=flag[sl])
+        s1 += float(np.abs(r, out=r).sum())
+        # |r| * |r| == r * r bit for bit; and not r @ r: BLAS splits long dot
+        # products across threads, which would tie the last digits to the thread count
+        s2 += float(np.multiply(r, r, out=r).sum())
         left -= m
     mean = s1 / n_samples
     var = max(s2 - n_samples * mean * mean, 0.0) / (n_samples - 1)
     return mean, math.sqrt(var / n_samples)
+
+
+def _side_by_side(tasks: list, d: int) -> list:
+    """`mc_expected_loss(*task)` for each task, on up to one thread per CPU, in task order.
+
+    The calling thread is one of the workers. Each worker draws into its own
+    workspace, allocated here before any worker starts: a worker thread's
+    freed buffers would stay resident in its own malloc arena. Every task
+    draws from its own substream, so the estimates are the same whatever
+    the number of workers. If a task raises, every worker is waited for,
+    then the first error is raised.
+    """
+    workers = min(len(tasks), os.cpu_count() or 1)
+    # the costliest first, each to the least loaded worker; a draw costs
+    # d + 1 normals, plus 3 uniforms under outliers
+    cost = [model.d + 1 + 3 * (model.outliers.eta > 0.0) for _, model, *_ in tasks]
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for i in sorted(range(len(tasks)), key=cost.__getitem__, reverse=True):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += cost[i]
+    spaces = [mc_workspace(d) for _ in range(workers)]
+    estimates = [None] * len(tasks)
+    errors = []
+
+    def work(w: int) -> None:
+        try:
+            for i in shares[w]:
+                estimates[i] = mc_expected_loss(*tasks[i], workspace=spaces[w])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return estimates
 
 
 def fd_gradient(theta, model: RegressionModel) -> np.ndarray:
@@ -423,11 +501,11 @@ def run_suite(seed: int = DEFAULT_SUITE_SEED, only: Optional[str] = None) -> Lis
 
     if wanted("mc_loss"):
         rng = substream(seed, "mc_theta")
-        for name, model in models:
-            theta = model.theta_star + rng.standard_normal(model.d)
-            closed = float(expected_loss(theta, model))
-            mean, stderr = mc_expected_loss(theta, model, 200000, derive_seed(seed, "mc", name))
-            z = abs(closed - mean) / stderr
+        thetas = [model.theta_star + rng.standard_normal(model.d) for _, model in models]
+        tasks = [(theta, model, 200000, derive_seed(seed, "mc", name)) for theta, (name, model) in zip(thetas, models)]
+        estimates = _side_by_side(tasks, max(model.d for _, model in models))
+        for (name, model), theta, (mean, stderr) in zip(models, thetas, estimates):
+            z = abs(float(expected_loss(theta, model)) - mean) / stderr
             results.append(z_result(f"mc_loss[{name}]", z))
 
     if wanted("gradient_fd"):

@@ -192,3 +192,12 @@ def test_identity_design_draws_equal_the_product_with_eye(clean_model):
     rng = substream(8, "x")
     z = np.vstack([rng.standard_normal((CHUNK, 3)) for _ in range(2)])[:n]
     assert np.array_equal(x, z @ np.eye(3))
+
+
+def test_a_law_whose_outliers_are_all_zero_draws_the_clean_stream():
+    # the clean law draws no outlier uniforms, and must still write the same rows
+    design = Spectrum((1.0, 0.5, 0.25), basis_seed=2)
+    clean = RegressionModel(np.array([0.3, -1.0, 2.0]), design, 1.0, no_outliers())
+    zero = RegressionModel(np.array([0.3, -1.0, 2.0]), design, 1.0, point_outliers(0.5, 0.0))
+    for a, b in zip(sample_arrays(zero, 2 * CHUNK + 5, seed=31), sample_arrays(clean, 2 * CHUNK + 5, seed=31)):
+        assert a.tobytes() == b.tobytes()

@@ -1,4 +1,7 @@
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,12 +30,14 @@ from streamrobust.verify import (
     fd_hessian_at_optimum,
     margin_result,
     mc_expected_loss,
+    mc_workspace,
     random_iterate_sequences,
     report_lines,
     run_suite,
     suite_passed,
     z_result,
 )
+from mc_reference import whole_block_mc_expected_loss
 
 LINE_RE = re.compile(r"^[^,]+,(pass|warn|fail),[^,]+$")
 
@@ -93,6 +98,19 @@ def test_mc_expected_loss_rejects_tiny_sample():
     model = RegressionModel(np.zeros(1), Identity(1), 1.0, no_outliers())
     with pytest.raises(ValueError, match="1000"):
         mc_expected_loss(np.zeros(1), model, 999, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [1000, 5000, 200000, 262145])
+def test_mc_expected_loss_keeps_the_bits_of_the_whole_block_draws(n_samples):
+    models = default_models()
+    space = mc_workspace(max(model.d for _, model in models))  # reused across the models in turn
+    for seed in (3, 20260816, 2**64 - 1):
+        rng = np.random.default_rng(seed)
+        for name, model in models:
+            theta = model.theta_star + rng.standard_normal(model.d)
+            expected = whole_block_mc_expected_loss(theta, model, n_samples, seed)
+            assert mc_expected_loss(theta, model, n_samples, seed) == expected, name
+            assert mc_expected_loss(theta, model, n_samples, seed, workspace=space) == expected, name
 
 
 def test_fd_gradient_matches_closed_form(spectrum_model):
@@ -242,3 +260,41 @@ def test_run_suite_group_names_have_no_commas():
     for r in run_suite(only="scale_drift"):
         assert isinstance(r, CheckResult)
         assert LINE_RE.match(r.line())
+
+
+MC_LINES_AT_SEED_11 = [
+    "mc_loss[clean],pass,0.6217969047190407",
+    "mc_loss[far_point],pass,0.6085827536838749",
+    "mc_loss[near_point],pass,0.4431176261387694",
+    "mc_loss[tiny_point],pass,0.07070109318831085",
+    "mc_loss[mixture],pass,0.4464271432226459",
+]
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 8])
+def test_the_monte_carlo_lines_are_the_same_on_any_number_of_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the workers hand the interpreter over as often as it allows
+    try:
+        lines = report_lines(run_suite(11, only="mc_loss"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert lines == MC_LINES_AT_SEED_11
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_a_failed_monte_carlo_is_raised_once_every_worker_has_ended(monkeypatch, cpus):
+    def failing(theta, model, n_samples, seed, workspace=None):
+        if seed == derive_seed(11, "mc", "near_point"):
+            raise ValueError("boom")
+        return mc_expected_loss(theta, model, n_samples, seed, workspace)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr("streamrobust.verify.mc_expected_loss", failing)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^boom$"):
+        run_suite(11, only="mc_loss")
+    assert threading.active_count() == threads
