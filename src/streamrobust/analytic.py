@@ -105,10 +105,13 @@ def effective_eta(dist: OutlierDistribution, sigma: float) -> float:
 
 
 def theta_array(theta, model: RegressionModel) -> np.ndarray:
-    """theta as a float array, checked before any arithmetic: its last axis must have the model's dimension."""
+    """theta as a float array, checked before any arithmetic: finite, with the model's dimension on its last axis."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1:] != (model.d,):
         raise ValueError(f"theta of shape {theta.shape} does not end in the model's dimension {model.d}")
+    if not np.isfinite(theta).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(theta))[0])
+        raise ValueError(f"theta has a non-finite entry {theta[index]} at index {index}")
     return theta
 
 
@@ -145,7 +148,7 @@ def gradient_scale(z, model: RegressionModel):
     the full corruption law. At z = 0 this is sqrt(2/pi) (1 - effective_eta) / sigma.
     z may be a float or an array of scales; the result has the shape of z.
     """
-    if np.any(np.less(z, 0)):
+    if not np.all(np.greater_equal(z, 0)):  # a NaN scale fails this too
         raise ValueError(f"error scale must be >= 0, got {np.min(z)}")
     s2 = model.sigma * model.sigma + np.square(z)
     s2_nodes = s2[..., None]

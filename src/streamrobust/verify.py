@@ -11,9 +11,9 @@ The finite-difference gradient agreement is the keystone: it ties the closed
 forms of `analytic` to the brute-force sampling oracle with no shared code
 path beyond the model definition itself.
 
-The Monte Carlo group runs its models side by side, on up to one thread per
-CPU. Each model draws from its own substream into its own buffers, so the
-report is the same whatever the CPU count.
+The Monte Carlo group draws the design term as one normal times the H-norm
+of theta - theta*, and runs its models side by side on up to one thread per
+CPU, each on its own substream and buffers: no CPU count changes its report.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ MARGIN_TOL = -1e-10
 SCALE_DRIFT_TOL = -1e-12
 
 _MC_BLOCK = 131072
-_MC_PIECE = 8192  # rows drawn at a time: the draws and their product stay in cache
+_MC_PIECE = 8192  # noise and uniforms drawn at a time: a piece stays in cache
 
 
 @dataclass(frozen=True)
@@ -102,35 +102,37 @@ def report_lines(results: Sequence[CheckResult]) -> List[str]:
 # brute-force oracles
 
 
-def mc_workspace(d: int) -> tuple:
-    """Buffers for `mc_expected_loss` on models of at most d features, about 2.4 MB at d = 4.
+def mc_workspace() -> tuple:
+    """Buffers for `mc_expected_loss`, about 2.2 MB whatever the model's dimension.
 
     They are a block-long sum buffer, outlier flags and component uniforms,
-    and one piece buffer of _MC_PIECE rows of d features.
+    and one piece buffer of _MC_PIECE draws.
     """
-    return np.empty(_MC_BLOCK), np.empty(_MC_BLOCK, dtype=bool), np.empty(_MC_BLOCK), np.empty(_MC_PIECE * d)
+    return np.empty(_MC_BLOCK), np.empty(_MC_BLOCK, dtype=bool), np.empty(_MC_BLOCK), np.empty(_MC_PIECE)
 
 
 def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int, workspace=None) -> tuple:
     """Monte Carlo estimate (mean, stderr) of E|y - <x, theta>| under the model.
 
-    The sample draws from SFC64, not Philox like the data streams: it feeds
-    only a z-score against the closed form, and SFC64 draws faster. Blocks
-    of _MC_BLOCK draws are drawn in place, into `workspace` (`mc_workspace`,
-    allocated per call if omitted), in pieces of _MC_PIECE rows: a generator
-    keeps no state between calls, so the pieces are the same draws in the
-    same order as the block drawn whole, and each block's sums run over the
-    whole block. The working set is the workspace, about 2.4 MB at d = 4,
-    and a few temporaries of one piece. The result depends only on the
-    model, theta and seed, whichever buffers and thread compute it.
+    Each sample draws the terms of y - <x, theta> = <x, theta* - theta> + eps + b
+    from their laws: for x ~ N(0, H) the first is N(0, s^2), s the norm of
+    chol.T (theta* - theta), so one normal times s; eps is one more times
+    sigma (the closed form's sum of variances is checked, not shared), and b
+    three uniforms. SFC64 draws them, not Philox as the data streams: they
+    feed only a z-score, and SFC64 is faster. Blocks of _MC_BLOCK draws go in
+    place into `workspace` (`mc_workspace`, made per call if omitted), the
+    noise and uniforms in pieces of _MC_PIECE, in the block's order; each
+    block's sums run over the whole block. The working set, about 2.2 MB,
+    does not grow with d; the result depends only on model, theta and seed.
     """
+    if not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"need a whole number of samples, got {n_samples!r}")
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
     theta = theta_array(np.reshape(theta, -1), model)
-    # x = g @ chol.T for standard normal rows g, so <x, shift> = g @ (chol.T @ shift)
-    proj = model.design.chol.T @ (model.theta_star - theta)
-    d, sigma, outliers = model.d, model.sigma, model.outliers
-    r_all, flag_all, comp_all, piece = mc_workspace(d) if workspace is None else workspace
+    spread = float(np.linalg.norm(model.design.chol.T @ (model.theta_star - theta)))
+    sigma, outliers = model.sigma, model.outliers
+    r_all, flag_all, comp_all, z_all = mc_workspace() if workspace is None else workspace
     rng = substream(seed, "mc", bit_generator=SFC64)
     s1 = 0.0
     s2 = 0.0
@@ -138,10 +140,10 @@ def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int, w
     while left > 0:
         m = min(_MC_BLOCK, left)
         r, flag, comp = r_all[:m], flag_all[:m], comp_all[:m]
-        # each piece: its rows of the block, and a flat view of its length in the piece buffer
-        pieces = [(slice(a, a + k), piece[:k]) for a in range(0, m, _MC_PIECE) for k in [min(_MC_PIECE, m - a)]]
-        for sl, z in pieces:
-            np.matmul(rng.standard_normal(out=piece[: z.size * d].reshape(-1, d)), proj, out=r[sl])
+        # each piece: its rows of the block, and a view of its length in the piece buffer
+        pieces = [(slice(a, a + k), z_all[:k]) for a in range(0, m, _MC_PIECE) for k in [min(_MC_PIECE, m - a)]]
+        rng.standard_normal(out=r)
+        r *= spread
         for sl, z in pieces:
             rng.standard_normal(out=z)
             z *= sigma
@@ -163,26 +165,26 @@ def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int, w
     return mean, math.sqrt(var / n_samples)
 
 
-def _side_by_side(tasks: list, d: int) -> list:
+def _side_by_side(tasks: list) -> list:
     """`mc_expected_loss(*task)` for each task, on up to one thread per CPU, in task order.
 
     The calling thread is one of the workers. Each worker draws into its own
-    workspace, allocated here before any worker starts: a worker thread's
-    freed buffers would stay resident in its own malloc arena. Every task
-    draws from its own substream, so the estimates are the same whatever
-    the number of workers. If a task raises, every worker is waited for,
-    then the first error is raised.
+    workspace, of one size for any model, allocated here before any worker
+    starts: a worker thread's freed buffers would stay resident in its own
+    malloc arena. Every task draws from its own substream, so the estimates
+    are the same whatever the number of workers. If a task raises, every
+    worker is waited for, then the first error is raised.
     """
     workers = min(len(tasks), os.cpu_count() or 1)
     # the costliest first, each to the least loaded worker; a draw costs
-    # d + 1 normals, plus 3 uniforms under outliers
-    cost = [model.d + 1 + 3 * (model.outliers.eta > 0.0) for _, model, *_ in tasks]
+    # 2 normals, plus 3 uniforms under outliers
+    cost = [2 + 3 * (model.outliers.eta > 0.0) for _, model, *_ in tasks]
     shares, loads = [[] for _ in range(workers)], [0] * workers
     for i in sorted(range(len(tasks)), key=cost.__getitem__, reverse=True):
         w = loads.index(min(loads))
         shares[w].append(i)
         loads[w] += cost[i]
-    spaces = [mc_workspace(d) for _ in range(workers)]
+    spaces = [mc_workspace() for _ in range(workers)]
     estimates = [None] * len(tasks)
     errors = []
 
@@ -503,7 +505,7 @@ def run_suite(seed: int = DEFAULT_SUITE_SEED, only: Optional[str] = None) -> Lis
         rng = substream(seed, "mc_theta")
         thetas = [model.theta_star + rng.standard_normal(model.d) for _, model in models]
         tasks = [(theta, model, 200000, derive_seed(seed, "mc", name)) for theta, (name, model) in zip(thetas, models)]
-        estimates = _side_by_side(tasks, max(model.d for _, model in models))
+        estimates = _side_by_side(tasks)
         for (name, model), theta, (mean, stderr) in zip(models, thetas, estimates):
             z = abs(float(expected_loss(theta, model)) - mean) / stderr
             results.append(z_result(f"mc_loss[{name}]", z))

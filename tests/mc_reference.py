@@ -1,8 +1,9 @@
 """The whole-block Monte Carlo that `verify.mc_expected_loss` is tested against.
 
-It draws each block of draws whole, into fresh arrays, as the sampler did
-before it drew in place, in pieces, into reused buffers; the in-place
-sampler must give the same (mean, stderr) bit for bit.
+It draws each block of draws whole, into fresh arrays, where the sampler
+draws in place, in pieces, into reused buffers; the in-place sampler must
+give the same (mean, stderr) bit for bit. Like the sampler, it draws the
+design term <x, theta* - theta> as one normal scaled by its spread.
 """
 
 import math
@@ -18,7 +19,7 @@ from streamrobust.verify import _MC_BLOCK
 def whole_block_mc_expected_loss(theta, model, n_samples: int, seed: int) -> tuple:
     """Monte Carlo estimate (mean, stderr) of E|y - <x, theta>|, each block drawn whole."""
     theta = theta_array(np.reshape(theta, -1), model)
-    proj = model.design.chol.T @ (model.theta_star - theta)
+    spread = float(np.linalg.norm(model.design.chol.T @ (model.theta_star - theta)))
     eta = model.outliers.eta
     rng = substream(seed, "mc", bit_generator=SFC64)
     s1 = 0.0
@@ -26,7 +27,7 @@ def whole_block_mc_expected_loss(theta, model, n_samples: int, seed: int) -> tup
     left = n_samples
     while left > 0:
         m = min(_MC_BLOCK, left)
-        r = rng.standard_normal((m, model.d)) @ proj
+        r = rng.standard_normal(m) * spread
         r += rng.standard_normal(m) * model.sigma
         if eta > 0.0:
             u = rng.random(3 * m)  # the flag, component and position blocks

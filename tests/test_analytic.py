@@ -171,6 +171,12 @@ def test_gradient_scale_rejects_a_negative_entry(point_model):
         gradient_scale(np.array([0.0, 1.0, -1e-9]), point_model)
 
 
+@pytest.mark.parametrize("z", [math.nan, np.array([0.0, math.nan, 1.0])])
+def test_gradient_scale_rejects_a_nan_scale(point_model, z):
+    with pytest.raises(ValueError, match=r"^error scale must be >= 0, got nan$"):
+        gradient_scale(z, point_model)
+
+
 # ---------------------------------------------------------------------------
 # loss closed form
 
@@ -282,3 +288,16 @@ def test_a_theta_of_another_dimension_fails_before_broadcasting(clean_model):
         expected_loss(np.array([0.5]), clean_model)
     with pytest.raises(ValueError, match=r"theta of shape \(1,\) does not end in the model's dimension 3"):
         gradient(np.array([0.5]), clean_model)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_theta_is_named_before_any_arithmetic(clean_model, bad):
+    theta = clean_model.theta_star.copy()
+    theta[1] = bad
+    for fn in (expected_loss, gradient, pred_error_sigma):
+        with pytest.raises(ValueError, match=rf"^theta has a non-finite entry {bad} at index \(1,\)$"):
+            fn(theta, clean_model)
+    # in a stack, the first non-finite entry in row order is the one named
+    stack = np.vstack([clean_model.theta_star, theta, -theta])
+    with pytest.raises(ValueError, match=rf"^theta has a non-finite entry {bad} at index \(1, 1\)$"):
+        expected_loss(stack, clean_model)

@@ -103,7 +103,7 @@ def test_mc_expected_loss_rejects_tiny_sample():
 @pytest.mark.parametrize("n_samples", [1000, 5000, 200000, 262145])
 def test_mc_expected_loss_keeps_the_bits_of_the_whole_block_draws(n_samples):
     models = default_models()
-    space = mc_workspace(max(model.d for _, model in models))  # reused across the models in turn
+    space = mc_workspace()  # reused across the models in turn
     for seed in (3, 20260816, 2**64 - 1):
         rng = np.random.default_rng(seed)
         for name, model in models:
@@ -111,6 +111,33 @@ def test_mc_expected_loss_keeps_the_bits_of_the_whole_block_draws(n_samples):
             expected = whole_block_mc_expected_loss(theta, model, n_samples, seed)
             assert mc_expected_loss(theta, model, n_samples, seed) == expected, name
             assert mc_expected_loss(theta, model, n_samples, seed, workspace=space) == expected, name
+
+
+@pytest.mark.parametrize("n_samples", [1000.0, 2000.5])
+def test_mc_expected_loss_names_a_sample_count_that_is_not_a_whole_number(n_samples):
+    model = RegressionModel(np.zeros(1), Identity(1), 1.0, no_outliers())
+    with pytest.raises(ValueError, match=rf"^need a whole number of samples, got {n_samples}$"):
+        mc_expected_loss(np.zeros(1), model, n_samples, seed=0)
+    assert mc_expected_loss([0.0], model, np.int64(1000), seed=0) == mc_expected_loss([0.0], model, 1000, seed=0)
+
+
+def test_mc_expected_loss_sees_theta_only_through_its_error_scale():
+    # the design term is one normal times ||theta - theta*||_H, so zero-padded
+    # features change no draw: the estimates agree bit for bit
+    outliers = point_outliers(0.3, 40.0)
+    small = RegressionModel(np.array([0.7, -0.1]), Identity(2), 0.8, outliers)
+    large = RegressionModel(np.array([0.7, -0.1, 0.0, 0.0]), Identity(4), 0.8, outliers)
+    shift = np.array([0.9, -1.3])
+    got = mc_expected_loss(small.theta_star + shift, small, 5000, seed=23)
+    assert mc_expected_loss(large.theta_star + np.append(shift, [0.0, 0.0]), large, 5000, seed=23) == got
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_theta_is_named_by_the_monte_carlo(clean_model, bad):
+    theta = clean_model.theta_star.copy()
+    theta[1] = bad
+    with pytest.raises(ValueError, match=rf"^theta has a non-finite entry {bad} at index \(1,\)$"):
+        mc_expected_loss(theta, clean_model, 1000, seed=0)
 
 
 def test_fd_gradient_matches_closed_form(spectrum_model):
@@ -263,11 +290,11 @@ def test_run_suite_group_names_have_no_commas():
 
 
 MC_LINES_AT_SEED_11 = [
-    "mc_loss[clean],pass,0.6217969047190407",
-    "mc_loss[far_point],pass,0.6085827536838749",
-    "mc_loss[near_point],pass,0.4431176261387694",
-    "mc_loss[tiny_point],pass,0.07070109318831085",
-    "mc_loss[mixture],pass,0.4464271432226459",
+    "mc_loss[clean],pass,0.86466367694036",
+    "mc_loss[far_point],pass,1.3311638813488522",
+    "mc_loss[near_point],pass,0.0899372489940103",
+    "mc_loss[tiny_point],pass,1.0631786677135457",
+    "mc_loss[mixture],pass,0.9138105482212352",
 ]
 
 
