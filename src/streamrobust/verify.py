@@ -13,7 +13,7 @@ path beyond the model definition itself.
 
 The Monte Carlo group draws the design term as one normal times the H-norm
 of theta - theta*, and runs its models side by side on up to one thread per
-CPU, each on its own substream and buffers: no CPU count changes its report.
+CPU, each on its own substream: no CPU count changes its report.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ from .analytic import (
 MARGIN_TOL = -1e-10
 SCALE_DRIFT_TOL = -1e-12
 
-_MC_BLOCK = 131072
-_MC_PIECE = 8192  # noise and uniforms drawn at a time: a piece stays in cache
+_MC_PIECE = 8192  # samples drawn and summed at a time: a piece's buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -102,28 +101,19 @@ def report_lines(results: Sequence[CheckResult]) -> List[str]:
 # brute-force oracles
 
 
-def mc_workspace() -> tuple:
-    """Buffers for `mc_expected_loss`, about 2.2 MB whatever the model's dimension.
-
-    They are a block-long sum buffer, outlier flags and component uniforms,
-    and one piece buffer of _MC_PIECE draws.
-    """
-    return np.empty(_MC_BLOCK), np.empty(_MC_BLOCK, dtype=bool), np.empty(_MC_BLOCK), np.empty(_MC_PIECE)
-
-
-def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int, workspace=None) -> tuple:
+def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int) -> tuple:
     """Monte Carlo estimate (mean, stderr) of E|y - <x, theta>| under the model.
 
     Each sample draws the terms of y - <x, theta> = <x, theta* - theta> + eps + b
     from their laws: for x ~ N(0, H) the first is N(0, s^2), s the norm of
     chol.T (theta* - theta), so one normal times s; eps is one more times
     sigma (the closed form's sum of variances is checked, not shared), and b
-    three uniforms. SFC64 draws them, not Philox as the data streams: they
-    feed only a z-score, and SFC64 is faster. Blocks of _MC_BLOCK draws go in
-    place into `workspace` (`mc_workspace`, made per call if omitted), the
-    noise and uniforms in pieces of _MC_PIECE, in the block's order; each
-    block's sums run over the whole block. The working set, about 2.2 MB,
-    does not grow with d; the result depends only on model, theta and seed.
+    a flag and a position uniform, plus a component uniform under a mixture.
+    SFC64 draws them, not Philox as the data streams: they feed only a
+    z-score, and SFC64 is faster. The samples come in pieces of _MC_PIECE,
+    drawn term by term into buffers allocated per call and summed per piece,
+    so the working set does not grow with d or n_samples; the result depends
+    only on model, theta and seed.
     """
     if not isinstance(n_samples, (int, np.integer)):
         raise ValueError(f"need a whole number of samples, got {n_samples!r}")
@@ -132,34 +122,30 @@ def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int, w
     theta = theta_array(np.reshape(theta, -1), model)
     spread = float(np.linalg.norm(model.design.chol.T @ (model.theta_star - theta)))
     sigma, outliers = model.sigma, model.outliers
-    r_all, flag_all, comp_all, z_all = mc_workspace() if workspace is None else workspace
+    mixture = len(outliers.components) > 1
+    r_all, z_all, comp_all = np.empty((3, _MC_PIECE))
+    flag_all = np.empty(_MC_PIECE, dtype=bool)
     rng = substream(seed, "mc", bit_generator=SFC64)
     s1 = 0.0
     s2 = 0.0
-    left = n_samples
-    while left > 0:
-        m = min(_MC_BLOCK, left)
-        r, flag, comp = r_all[:m], flag_all[:m], comp_all[:m]
-        # each piece: its rows of the block, and a view of its length in the piece buffer
-        pieces = [(slice(a, a + k), z_all[:k]) for a in range(0, m, _MC_PIECE) for k in [min(_MC_PIECE, m - a)]]
+    for a in range(0, n_samples, _MC_PIECE):
+        k = min(_MC_PIECE, n_samples - a)
+        r, z, flag = r_all[:k], z_all[:k], flag_all[:k]
         rng.standard_normal(out=r)
         r *= spread
-        for sl, z in pieces:
-            rng.standard_normal(out=z)
-            z *= sigma
-            r[sl] += z
-        if outliers.eta > 0.0:  # the flag, component and position uniforms, each a block in turn
-            for sl, z in pieces:
-                np.less(rng.random(out=z), outliers.eta, out=flag[sl])
-            rng.random(out=comp)  # a point mass ignores them, but they are drawn all the same
-            for sl, z in pieces:
-                # unflagged rows keep r, not r + 0.0: the two differ only in the sign of a zero, which |r| and r * r drop
-                np.add(r[sl], outliers.values_from_uniforms(comp[sl], rng.random(out=z)), out=r[sl], where=flag[sl])
+        rng.standard_normal(out=z)
+        z *= sigma
+        r += z
+        if outliers.eta > 0.0:  # the flag, component and position uniforms, each a piece in turn
+            np.less(rng.random(out=z), outliers.eta, out=flag)
+            # a one-component law reads no component uniform, so none is drawn
+            comp = rng.random(out=comp_all[:k]) if mixture else None
+            # unflagged rows keep r, not r + 0.0: the two differ only in the sign of a zero, which |r| and r * r drop
+            np.add(r, outliers.values_from_uniforms(comp, rng.random(out=z)), out=r, where=flag)
         s1 += float(np.abs(r, out=r).sum())
         # |r| * |r| == r * r bit for bit; and not r @ r: BLAS splits long dot
         # products across threads, which would tie the last digits to the thread count
         s2 += float(np.multiply(r, r, out=r).sum())
-        left -= m
     mean = s1 / n_samples
     var = max(s2 - n_samples * mean * mean, 0.0) / (n_samples - 1)
     return mean, math.sqrt(var / n_samples)
@@ -168,38 +154,32 @@ def mc_expected_loss(theta, model: RegressionModel, n_samples: int, seed: int, w
 def _side_by_side(tasks: list) -> list:
     """`mc_expected_loss(*task)` for each task, on up to one thread per CPU, in task order.
 
-    The calling thread is one of the workers. Each worker draws into its own
-    workspace, of one size for any model, allocated here before any worker
-    starts: a worker thread's freed buffers would stay resident in its own
-    malloc arena. Every task draws from its own substream, so the estimates
-    are the same whatever the number of workers. If a task raises, every
-    worker is waited for, then the first error is raised.
+    The calling thread is one of the workers. The workers take the tasks'
+    indices, the costliest first, from one shared iterator, whose `next` is
+    atomic under CPython's GIL. Every task draws from its own substream, so
+    the estimates are the same whatever the number of workers and whichever
+    takes which task. If a task raises, every worker is waited for, then
+    the first error is raised.
     """
     workers = min(len(tasks), os.cpu_count() or 1)
-    # the costliest first, each to the least loaded worker; a draw costs
-    # 2 normals, plus 3 uniforms under outliers
-    cost = [2 + 3 * (model.outliers.eta > 0.0) for _, model, *_ in tasks]
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for i in sorted(range(len(tasks)), key=cost.__getitem__, reverse=True):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += cost[i]
-    spaces = [mc_workspace() for _ in range(workers)]
+    # a sample costs 2 normals, plus 2 uniforms under a one-component law or 3 under a mixture
+    cost = [n * (2 + (m.outliers.eta > 0.0) * (2 + (len(m.outliers.components) > 1))) for _, m, n, _ in tasks]
+    order = iter(sorted(range(len(tasks)), key=cost.__getitem__, reverse=True))
     estimates = [None] * len(tasks)
     errors = []
 
-    def work(w: int) -> None:
+    def work() -> None:
         try:
-            for i in shares[w]:
-                estimates[i] = mc_expected_loss(*tasks[i], workspace=spaces[w])
+            for i in order:
+                estimates[i] = mc_expected_loss(*tasks[i])
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=work) for _ in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
-        work(0)
+        work()
     finally:
         for thread in threads:
             thread.join()
