@@ -20,8 +20,10 @@ only through sigma_theta. `gradient_scale` evaluates that multiplier. All
 functions are pure and cache nothing, so they stay easy to audit.
 
 The error function is the standard library's `math.erf`, applied elementwise
-by `erf`; numpy is the only dependency. The radial closed forms take an error
-scale or an array of them, so a whole grid of scales is one call: the
+by `erf` where |x| < 6; past that erf is exactly +-1.0 in doubles (erfc(6) is
+below half an ulp of 1), so `erf` takes the sign there and skips the call.
+numpy is the only dependency. The closed forms take one point (an error scale
+or an iterate) or an array of them, so a whole grid is one call: the
 quadrature nodes of the corruption law ride on a trailing axis that the
 expectation reduces.
 """
@@ -43,9 +45,16 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def erf(x):
-    """Gauss error function of a float or an array, elementwise through math.erf."""
+    """Gauss error function of a float or an array, elementwise.
+
+    math.erf where |x| < 6; elsewhere the sign of x, which is what math.erf
+    returns there (it is exactly +-1.0 from |x| = 5.9216 on), and NaN at NaN.
+    """
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
+    out = np.asarray(np.sign(x))
+    inner = np.abs(x) < 6.0
+    out[inner] = np.fromiter(map(math.erf, x[inner].tolist()), float)
+    return out[()]
 
 
 @lru_cache(maxsize=None)
@@ -157,12 +166,11 @@ def gradient_scale(z, model: RegressionModel):
 
 
 def gradient(theta: np.ndarray, model: RegressionModel) -> np.ndarray:
-    """Gradient of the population loss at theta."""
-    delta = theta_array(np.reshape(theta, -1), model) - model.theta_star
-    h = model.design.h
-    hdelta = h @ delta
-    z = math.sqrt(max(float(delta @ hdelta), 0.0))
-    return gradient_scale(z, model) * hdelta
+    """Gradient of the population loss at one iterate (d,) or a stack (..., d), one H delta product per iterate."""
+    delta = theta_array(theta, model) - model.theta_star
+    hdelta = np.matmul(model.design.h, delta[..., None])[..., 0]
+    z = np.sqrt(np.maximum(np.vecdot(delta, hdelta), 0.0))
+    return gradient_scale(z, model)[..., None] * hdelta
 
 
 def hessian_at_optimum(model: RegressionModel) -> np.ndarray:

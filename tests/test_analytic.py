@@ -122,14 +122,14 @@ def test_effective_eta_basics():
 
 
 def test_erf_scalars_and_special_values():
-    for x in (0.0, -0.0, 0.3, -2.5, 7.0):
-        got = erf(x)
-        assert isinstance(got, float)
-        assert got == math.erf(x)
+    for x in (0.0, -0.0, 0.3, -2.5, 7.0, 6.0, -6.0, 1e308, -5e-324, math.inf, -math.inf):
+        for got in (erf(x), erf(np.array(x))):
+            assert isinstance(got, float)
+            assert got == math.erf(x) and math.copysign(1.0, got) == math.copysign(1.0, math.erf(x))
     assert erf(0.0) == 0.0
     assert erf(math.inf) == 1.0
     assert erf(-math.inf) == -1.0
-    assert math.isnan(erf(math.nan))
+    assert math.isnan(erf(math.nan)) and math.isnan(erf(np.array(math.nan)))
 
 
 def test_erf_arrays_keep_shape_and_dtype():
@@ -139,7 +139,55 @@ def test_erf_arrays_keep_shape_and_dtype():
     assert np.array_equal(got[0], [0.0, 1.0, -1.0])
     assert np.isnan(got[1, 0])
     assert got[1, 1] == math.erf(0.5) and got[1, 2] == math.erf(-1e-300)
-    assert erf(np.empty((0, 3))).shape == (0, 3)
+    for empty in (np.empty(0), np.empty((0, 3)), np.empty((2, 0))):
+        got = erf(empty)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == empty.shape
+
+
+def _doubles_around(x, count):
+    """The count consecutive doubles centred on x."""
+    below = [x]
+    for _ in range(count // 2):
+        below.append(math.nextafter(below[-1], -math.inf))
+    above = [x]
+    for _ in range(count - count // 2 - 1):
+        above.append(math.nextafter(above[-1], math.inf))
+    return np.array(below[:0:-1] + above)
+
+
+@pytest.mark.parametrize("centre", [5.92, 6.0, -5.92, -6.0])
+def test_erf_keeps_the_bits_of_math_erf_around_the_saturation_cut(centre):
+    x = _doubles_around(centre, 4000)
+    assert np.unique(x).size == 4000
+    got = erf(x)
+    assert np.array_equal(got, [math.erf(v) for v in x])
+    assert np.all(np.abs(got[np.abs(x) >= 5.9217]) == 1.0)
+
+
+def test_erf_keeps_the_bits_of_math_erf_on_the_smoothing_grid():
+    # the (t, b) grid of verify's scalar.smoothing_gap_bound, where about a third of the arguments pass the cut
+    t = np.linspace(0.0, 1.0, 201)[:, None]
+    b = np.linspace(0.0, 10.0, 401)[None, :]
+    x = b / np.sqrt(1.0 + t * t)
+    got = erf(x)
+    assert got.shape == (201, 401)
+    assert np.array_equal(got, np.vectorize(math.erf)(x))
+    assert 0.3 < np.mean(x >= 6.0) < 0.35
+
+
+def test_erf_hands_math_erf_no_argument_past_the_cut(monkeypatch):
+    seen, real = [], math.erf
+
+    def counting(v):
+        seen.append(v)
+        return real(v)
+
+    monkeypatch.setattr(analytic.math, "erf", counting)
+    x = np.concatenate([_doubles_around(6.0, 50), _doubles_around(-6.0, 50), [math.inf, -math.inf, math.nan, 20.0]])
+    got = erf(x)
+    monkeypatch.undo()
+    assert np.array_equal(got[:-2], [math.erf(v) for v in x[:-2]])
+    assert sorted(seen) == sorted(v for v in x if abs(v) < 6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,24 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrobust.analytic import expected_loss, gradient, hessian_at_optimum
 from streamrobust.core import (
     CONSTANT,
+    Explicit,
     Identity,
+    OutlierDistribution,
+    PointMass,
     RegressionModel,
+    Spectrum,
     StepSchedule,
+    Uniform,
     derive_seed,
     no_outliers,
     point_outliers,
+    substream,
 )
 from streamrobust.datagen import CHUNK
 from streamrobust.verify import (
@@ -37,6 +45,7 @@ from streamrobust.verify import (
     z_result,
 )
 from mc_reference import whole_piece_mc_expected_loss
+import pointwise_reference
 
 LINE_RE = re.compile(r"^[^,]+,(pass|warn|fail),[^,]+$")
 
@@ -149,6 +158,78 @@ def test_fd_hessian_matches_closed_form(mixture_model):
     closed = hessian_at_optimum(mixture_model)
     fd = fd_hessian_at_optimum(mixture_model)
     assert np.linalg.norm(fd - closed) < 1e-3 * np.linalg.norm(closed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fd_gradient_names_the_callers_non_finite_entry(clean_model, bad):
+    theta = clean_model.theta_star.copy()
+    theta[1] = bad
+    with pytest.raises(ValueError, match=rf"^theta has a non-finite entry {bad} at index \(1,\)$"):
+        fd_gradient(theta, clean_model)
+    with pytest.raises(ValueError, match=rf"^theta has a non-finite entry {bad} at index \(1, 1\)$"):
+        fd_gradient(np.vstack([clean_model.theta_star, theta]), clean_model)
+
+
+def test_fd_gradient_names_the_callers_shape(point_model):
+    with pytest.raises(ValueError, match=r"^theta of shape \(3,\) does not end in the model's dimension 4$"):
+        fd_gradient(np.zeros(3), point_model)
+    with pytest.raises(ValueError, match=r"^theta of shape \(2, 5\) does not end in the model's dimension 4$"):
+        fd_gradient(np.zeros((2, 5)), point_model)
+
+
+# ---------------------------------------------------------------------------
+# stacked closed-form calls against the per-point reference
+
+
+def _same_as_pointwise(model, thetas, walks):
+    """Each stacked form equals its per-point reference bit for bit."""
+    assert np.array_equal(gradient(thetas, model), [pointwise_reference.gradient(t, model) for t in thetas])
+    assert np.array_equal(fd_gradient(thetas, model), [pointwise_reference.fd_gradient(t, model) for t in thetas])
+    assert np.array_equal(gradient(thetas[0], model), pointwise_reference.gradient(thetas[0], model))
+    assert np.array_equal(fd_gradient(thetas[0], model), pointwise_reference.fd_gradient(thetas[0], model))
+    assert np.array_equal(fd_hessian_at_optimum(model), pointwise_reference.fd_hessian_at_optimum(model))
+    assert check_avg_iterate_bound(walks, model).value == pointwise_reference.avg_iterate_bound(walks, model)
+    for walk in walks:
+        assert check_avg_iterate_bound(walk, model).value == pointwise_reference.avg_iterate_bound(walk[None], model)
+
+
+@pytest.mark.parametrize("name, model", default_models(), ids=[name for name, _ in default_models()])
+def test_the_stacked_forms_keep_the_bits_of_the_per_point_forms(name, model):
+    for seed in (3, 20260816):
+        thetas = model.theta_star + substream(seed, "fd_theta").uniform(-2.0, 2.0, (10, model.d))
+        walks = np.stack(random_iterate_sequences(model, 20, seed))
+        _same_as_pointwise(model, thetas, walks)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A Spectrum or Explicit model up to d = 6, iterates around its theta* and walks."""
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        eig = draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d))
+        cov = Spectrum(tuple(eig), basis_seed=draw(st.integers(0, 2**32)))
+    else:
+        a = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d * d, max_size=d * d))).reshape(d, d)
+        cov = Explicit(a @ a.T + 0.1 * np.eye(d))
+    outliers = draw(st.sampled_from([
+        no_outliers(),
+        point_outliers(0.3, 2.0),
+        point_outliers(0.9, 1e4),
+        OutlierDistribution(0.4, ((0.5, PointMass(-7.0)), (0.5, Uniform(0.5, 30.0)))),
+    ]))
+    model = RegressionModel(np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))), cov,
+                            draw(st.floats(0.05, 10.0)), outliers)
+    seed = draw(st.integers(0, 2**32))
+    rng = np.random.default_rng(seed)
+    thetas = model.theta_star + 10.0 ** rng.uniform(-4.0, 3.0, (7, 1)) * rng.standard_normal((7, d))
+    walks = np.stack(random_iterate_sequences(model, 6, seed, length=draw(st.integers(1, 12))))
+    return model, thetas, walks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stacked_cases())
+def test_the_stacked_forms_keep_the_bits_on_drawn_models(case):
+    _same_as_pointwise(*case)
 
 
 # ---------------------------------------------------------------------------
