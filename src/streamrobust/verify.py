@@ -326,15 +326,18 @@ def check_scalar_inequalities() -> List[CheckResult]:
     # widening the residual scale lifts the dimensionless profile
     # g(t) = b erf(b / sqrt(1 + t^2)) + sqrt(1 + t^2) e^{-b^2/(1+t^2)} / sqrt(pi)
     # by at least (sqrt(2)-1)/sqrt(pi) t^2 e^{-b^2} >= t^2 e^{-b^2} / 5 for t <= 1
-    t = np.linspace(0.0, 1.0, 201)[:, None]
+    ts = np.linspace(0.0, 1.0, 201)[:, None]
     b = np.linspace(0.0, 10.0, 401)[None, :]
-    s2 = 1.0 + t * t
-    prof = b * erf(b / np.sqrt(s2)) + np.sqrt(s2) * np.exp(-b * b / s2) / math.sqrt(math.pi)
-    prof0 = b * erf(b) + np.exp(-b * b) / math.sqrt(math.pi)
-    lift = prof - prof0
-    mid = (math.sqrt(2.0) - 1.0) / math.sqrt(math.pi) * t * t * np.exp(-b * b)
-    low = t * t * np.exp(-b * b) / 5.0
-    worst = min(float(np.min(mid - low)), float(np.min(lift - mid)))
+    eb2 = np.exp(-b * b)
+    prof0 = b * erf(b) + eb2 / math.sqrt(math.pi)
+    worst = math.inf
+    for i in range(0, ts.shape[0], 16):  # 16 rows of t at a time: the (t, b) temporaries stay small
+        t = ts[i : i + 16]
+        s2 = 1.0 + t * t
+        prof = b * erf(b / np.sqrt(s2)) + np.sqrt(s2) * np.exp(-b * b / s2) / math.sqrt(math.pi)
+        mid = (math.sqrt(2.0) - 1.0) / math.sqrt(math.pi) * t * t * eb2
+        low = t * t * eb2 / 5.0
+        worst = min(worst, float(np.min(mid - low)), float(np.min(prof - prof0 - mid)))
     results.append(margin_result("scalar.smoothing_gap_bound", worst))
 
     # (1/n) sum_{t=2}^{n-1} (n/t)^2 ((1 - t/n)^{-1/2} - 1) <= 3 ln(e n)
@@ -360,19 +363,23 @@ def check_moment_bounds(
     With gamma_t = gamma0 / sqrt(t) and R2 = trace(H), the squared distance
     to theta* after k steps from theta_0 = 0 is bounded in expectation by
     ||theta*||^2 + gamma0^2 R2 ln(e k), with a fourth-moment analogue.
-    Replication r steps on the first n rows drawn from the model on the seed
-    (seed, "rep", r), and the replications step together, in one engine
-    call. Reported values are the worst z-scores across checkpoints.
+    Replication r steps on rows [r n, (r+1) n) of the stream that
+    `sample_arrays` draws from the model on the seed: disjoint segments of
+    one i.i.d. row stream, so the replications are i.i.d. too. They step
+    together, in one engine call. Reported values are the worst z-scores
+    across checkpoints.
     """
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
     if schedule.kind != INV_SQRT:
         raise ValueError("the moment bounds are stated for the inverse square root schedule")
-    from .datagen import _chunk_arrays
+    from .datagen import array_chunks, sample_arrays
     from .optimizer import default_checkpoints, run_batch, sgd_row
 
     theta_star = model.theta_star
-    streams = [_chunk_arrays(model, derive_seed(seed, "rep", r), n) for r in range(replications)]
+    x, y, b = sample_arrays(model, n * replications, seed)
+    segments = [slice(r * n, (r + 1) * n) for r in range(replications)]
+    streams = [array_chunks(x[s], y[s], b[s]) for s in segments]
     row = sgd_row(L1(), schedule, n, seed, model, plan=[n])
     records = run_batch([[row]] * replications, streams, [model] * replications, record_iterates=True)
     checkpoints = default_checkpoints(n)

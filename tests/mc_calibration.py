@@ -8,7 +8,13 @@ only="mc_loss")` for each seed with the checkout's code and prints the
 number of z values, their mean z^2 (1 for a standard normal), and the counts
 above 3 and above 4 next to their expected counts (0.27 % and 0.006 %).
 
+With `--group moment_bounds` it runs that group instead, whose two lines are
+each the worst z over checkpoints of a Monte Carlo moment against a proved
+bound: no normal law is expected there, so it prints the quantiles of the
+`moment_bounds.second` and `.fourth` z over the seeds and how many exceed 3.
+
     python3 tests/mc_calibration.py --seeds 6000:7500
+    python3 tests/mc_calibration.py --group moment_bounds --seeds 20260816:20261016
 
 pytest collects only `test_*.py`, so the suite never runs this file.
 """
@@ -17,6 +23,8 @@ import argparse
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -28,10 +36,26 @@ def parse_seeds(text: str) -> range:
     return range(int(lo), int(hi)) if hi else range(int(lo), int(lo) + 1)
 
 
+def moment_bounds(seeds: range) -> int:
+    """Quantiles of each moment_bounds line's z over the seeds, and its count above 3."""
+    zs = {}
+    for seed in seeds:
+        for r in run_suite(seed, only="moment_bounds"):
+            zs.setdefault(r.name, []).append(r.value)
+    print(f"# seeds {seeds.start}:{seeds.stop} ({len(seeds)}); quantiles min / q25 / median / q75 / max")
+    for name, values in zs.items():
+        q = " / ".join(f"{v:.4g}" for v in np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0]))
+        print(f"{name}: z {q}; above 3: {sum(z > 3.0 for z in values)}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("6000:6100"), help="start:stop, stop excluded")
+    parser.add_argument("--group", choices=("mc_loss", "moment_bounds"), default="mc_loss")
     args = parser.parse_args(argv)
+    if args.group == "moment_bounds":
+        return moment_bounds(args.seeds)
 
     zs = [r.value for seed in args.seeds for r in run_suite(seed, only="mc_loss")]
     n = len(zs)

@@ -2,6 +2,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from streamrobust.core import (
     CONSTANT,
     Explicit,
     Identity,
+    L1,
     OutlierDistribution,
     PointMass,
     RegressionModel,
@@ -24,7 +26,8 @@ from streamrobust.core import (
     point_outliers,
     substream,
 )
-from streamrobust.datagen import CHUNK
+from streamrobust.datagen import CHUNK, sample_arrays
+from streamrobust.optimizer import default_checkpoints, run
 from streamrobust.verify import (
     CHECK_GROUPS,
     CheckResult,
@@ -302,6 +305,29 @@ def test_scalar_inequalities_all_pass():
         assert r.status == "pass", r
 
 
+SCALAR_LINES = [
+    "scalar.exp_ratio_bound,pass,5.870445183868066",
+    "scalar.erf_gap_bound,pass,-4.506962941010734e-16",
+    "scalar.smoothing_gap_bound,pass,-1.7943458097737658e-15",
+    "scalar.riemann_sum_bound,pass,8.258162994492361",
+]
+
+
+def test_scalar_inequalities_keep_their_bytes():
+    assert report_lines(check_scalar_inequalities()) == SCALAR_LINES
+
+
+def test_scalar_inequalities_peak_below_a_megabyte():
+    # the smoothing gap's 201 x 401 grid is evaluated 16 rows of t at a time
+    tracemalloc.start()
+    try:
+        check_scalar_inequalities()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_moment_bounds_within_band():
     model = RegressionModel(np.array([0.8, -0.6]), Identity(2), 1.0, point_outliers(0.2, 50.0))
     results = check_moment_bounds(model, StepSchedule(0.5), 200, 100, seed=41)
@@ -314,9 +340,9 @@ def test_moment_bounds_within_band():
     "n, replications, seed, lines",
     [
         # verify's own size, in one chunk
-        (400, 120, 20260816, ["second,pass,-9.011482039227255", "fourth,pass,-42.38716786848983"]),
+        (400, 120, 20260816, ["second,pass,-3.4096958129066413", "fourth,pass,-15.399619333797004"]),
         # across two chunks
-        (CHUNK + 100, 100, 1, ["second,pass,-4.978859003388977", "fourth,pass,-20.864484092631816"]),
+        (CHUNK + 100, 100, 1, ["second,pass,-10.426153215132043", "fourth,pass,-34.620153190439254"]),
     ],
     ids=["verify-size", "two-chunks"],
 )
@@ -325,6 +351,40 @@ def test_moment_bounds_keep_their_bytes(n, replications, seed, lines):
     schedule = StepSchedule(1.0 / model.design.r2)
     results = check_moment_bounds(model, schedule, n, replications, derive_seed(seed, "moments"))
     assert [r.line() for r in results] == ["moment_bounds." + line for line in lines]
+
+
+def _moment_lines_from_runs(model, schedule, n, replications, seed):
+    """The two moment_bounds lines, from one `run` per replication on its rows of `sample_arrays`."""
+    x, y, b = sample_arrays(model, n * replications, seed)
+    ks = default_checkpoints(n)
+    theta_ks = []
+    for r in range(replications):
+        rows = slice(r * n, (r + 1) * n)
+        rec = run((x[rows], y[rows], b[rows]), L1(), schedule, n, [n], seed, model=model, record_iterates=True)
+        theta_ks.append(np.vstack([rec.iterates[ks[:-1]], rec.theta_last]))
+    sq = np.sum((np.stack(theta_ks, axis=1) - model.theta_star) ** 2, axis=2)
+    dist0sq, g, r2, ln_ek = float(np.sum(model.theta_star**2)), schedule.gamma0, model.design.r2, 1.0 + np.log(ks)
+    c_k = dist0sq + g**2 * r2 * ln_ek
+    d_k = dist0sq**2 + 8.0 * g**2 * ln_ek * r2 * dist0sq + g**4 * ln_ek * r2**2 * (8.0 * ln_ek + np.pi**2 / 3.0)
+    moments, bounds = np.stack([sq, sq * sq]), np.stack([c_k, d_k])
+    z = (moments.mean(axis=2) - bounds) / (moments.std(axis=2, ddof=1) / np.sqrt(replications))
+    return [z_result(f"moment_bounds.{name}", float(zs.max())).line() for name, zs in zip(("second", "fourth"), z)]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        RegressionModel(np.array([0.8, -0.6]), Identity(2), 1.0, point_outliers(0.2, 50.0)),
+        RegressionModel(np.array([0.5, -1.0, 0.2]), Spectrum((2.0, 1.0, 0.5), basis_seed=3), 0.7,
+                        OutlierDistribution(0.3, ((0.5, PointMass(-4.0)), (0.5, Uniform(1.0, 9.0))))),
+    ],
+    ids=["verify-model", "spectrum-mixture"],
+)
+def test_replication_r_steps_on_its_own_rows_of_the_sampled_stream(model):
+    # 100 segments of 50 rows: many straddle the stream's chunk boundaries
+    schedule = StepSchedule(1.0 / model.design.r2)
+    lines = [r.line() for r in check_moment_bounds(model, schedule, 50, 100, seed=29)]
+    assert lines == _moment_lines_from_runs(model, schedule, 50, 100, seed=29)
 
 
 def test_moment_bounds_validation():
