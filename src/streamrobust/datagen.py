@@ -13,7 +13,8 @@ Chunks are written in place. A stream is an iterator of chunk writers: each
 writer fills the first rows of the slice it is given, X (CHUNK, d), y and b
 (CHUNK,), returns how many rows it wrote, and refuses a slice of another
 dimension than its rows. Drawn streams (`_chunk_arrays`) write their draws
-there; stored streams (`array_chunks`) gather their rows there. The engine,
+there; stored streams (`array_chunks`, the one entry for stored arrays and
+the one check of their shapes) gather their rows there. The engine,
 `optimizer.run_batch`, gives each stream its slice of its own chunk buffer;
 `sample_arrays` copies the same writers' chunks into the arrays it returns,
 so both paths yield bit-identical rows for identical seeds, whatever their
@@ -93,12 +94,17 @@ def array_chunks(x: np.ndarray, y: np.ndarray, b: np.ndarray, order=None) -> Ite
 
     With `order` omitted the rows are visited as stored; a permutation of
     the rows visits them once more, in another order, as a later pass does.
-    b != 0 flags a row; boolean flags are written as 0.0 and 1.0.
+    b != 0 flags a row. The arrays are read as float64 (a float64 array is
+    not copied), so integer or boolean entries and lists run as their
+    float64 arrays. The call itself, before any chunk is written, raises a
+    ValueError naming the shapes unless X is 2-D and y and b hold one entry
+    per row of X.
     """
-    b = np.asarray(b, dtype=float)
-    order = np.arange(y.shape[0]) if order is None else order
-    for start in range(0, order.size, CHUNK):
-        yield partial(_gathered_chunk, x, y, b, order[start : start + CHUNK])
+    x, y, b = (np.asarray(a, dtype=float) for a in (x, y, b))
+    if x.ndim != 2 or y.shape != (x.shape[0],) or b.shape != y.shape:
+        raise ValueError(f"stream arrays disagree: X {x.shape}, y {y.shape}, corrupted {b.shape}")
+    order = np.arange(y.size) if order is None else order
+    return (partial(_gathered_chunk, x, y, b, order[start : start + CHUNK]) for start in range(0, order.size, CHUNK))
 
 
 def _gathered_chunk(x_all, y_all, b_all, idx, x, y, b) -> int:

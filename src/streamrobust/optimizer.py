@@ -43,10 +43,9 @@ to step them. Every row starts at 0, checks its step count and plan once,
 as its `Estimator` is made, and is built with its config digest by
 `sgd_row` (averaged SGD on a loss) or `oracle_row` (the clean-data
 least-squares oracle). A recorded path holds each row's iterate before
-every row of its stream. `run` drives the engine for one `sgd_row`, on a
-model (drawn chunk by chunk) or on a stored (X, y, corrupted) triple; the
-oracle on stored arrays is its masked row,
-`run_batch([[oracle_row(...)]], [array_chunks(x, y, b)], [model])`.
+every row of its stream. One `sgd_row` on stored (X, y, corrupted) arrays is
+`run_batch([[sgd_row(...)]], [array_chunks(x, y, b)], [model])`, and the
+oracle there is its masked row, the same call with an `oracle_row`.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import zip_longest
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 from numpy import add, multiply, subtract, vecdot
@@ -76,7 +75,7 @@ from .core import (
     loss_label,
     short_digest,
 )
-from .datagen import CHUNK, _chunk_arrays, array_chunks
+from .datagen import CHUNK
 
 # The L1 influence scales residuals by the largest double instead of inf:
 # every residual with |r| > gamma * 2**-1023 is clipped to its sign, and a
@@ -449,43 +448,3 @@ def _raise_divergence(grid, x, y, residuals, theta, eligible, done, offset) -> N
         f"{loss_label(row.loss)} with gamma0={row.schedule.gamma0!r} diverged: "
         f"non-finite iterate by step {step}"
     )
-
-
-# ---------------------------------------------------------------------------
-# the single-estimator driver
-
-
-def run(
-    source: Union[RegressionModel, Sequence[np.ndarray]],
-    loss: Loss,
-    schedule: StepSchedule,
-    n_steps: int,
-    checkpoint_plan=None,
-    seed: int = 0,
-    *,
-    model: Optional[RegressionModel] = None,
-    record_iterates: bool = False,
-) -> RunRecord:
-    """One `sgd_row` over one stream, from 0: the engine with S = R = 1.
-
-    `source` is either a model (a fresh seeded stream is generated from it,
-    chunk by chunk) or an (X, y, corrupted) triple, of which the first
-    n_steps rows are used (the engine refuses a shorter one); `model` must
-    then be given so errors can be measured. Deterministic: identical
-    arguments produce a bit-identical record.
-    """
-    drawn = isinstance(source, RegressionModel)
-    if drawn and model is None:
-        model = source
-    elif model is None:
-        raise ValueError("a reference model is required when running from stream arrays")
-    row = sgd_row(loss, schedule, n_steps, seed, model, checkpoint_plan)
-    if drawn:
-        stream = _chunk_arrays(source, seed, row.n_steps)
-    else:
-        x, y, b = (np.asarray(a, dtype=float) for a in source)
-        if x.ndim != 2 or y.shape != (x.shape[0],) or b.shape != y.shape:
-            raise ValueError(f"stream arrays disagree: X {x.shape}, y {y.shape}, corrupted {b.shape}")
-        stream = array_chunks(*(a[: row.n_steps] for a in (x, y, b)))
-    ((record,),) = run_batch([[row]], [stream], [model], record_iterates=record_iterates)
-    return record

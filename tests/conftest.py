@@ -12,8 +12,8 @@ from streamrobust.core import (
     no_outliers,
     point_outliers,
 )
-from streamrobust.datagen import CHUNK, array_chunks
-from streamrobust.optimizer import oracle_row, run_batch
+from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks
+from streamrobust.optimizer import oracle_row, run_batch, sgd_row
 
 
 def stream_chunks(stream, d):
@@ -31,6 +31,19 @@ def masked_oracle(stream, gamma0, model):
     x, y, b = stream
     oracle = oracle_row(gamma0, int(np.count_nonzero(b == 0.0)), y.size, model)
     ((record,),) = run_batch([[oracle]], [array_chunks(x, y, b)], [model])
+    return record
+
+
+def sgd_run(source, loss, schedule, n_steps, checkpoint_plan=None, seed=0, *, model=None, record_iterates=False):
+    """One `sgd_row` on its own stream: drawn from the model `source` on `seed`, or stored (X, y, b) arrays.
+
+    The record is measured against `model`, by default the model `source`.
+    """
+    model = source if model is None else model
+    row = sgd_row(loss, schedule, n_steps, seed, model, checkpoint_plan)
+    drawn = isinstance(source, RegressionModel)
+    stream = _chunk_arrays(source, seed, row.n_steps) if drawn else array_chunks(*source)
+    ((record,),) = run_batch([[row]], [stream], [model], record_iterates=record_iterates)
     return record
 
 

@@ -38,7 +38,7 @@ from streamrobust.core import (
     substream,
 )
 from streamrobust.datagen import _chunk_arrays, sample_arrays
-from streamrobust.optimizer import Estimator, run, run_batch
+from streamrobust.optimizer import Estimator, run_batch
 from streamrobust.verify import (
     _side_by_side,
     check_avg_iterate_bound,
@@ -52,7 +52,7 @@ from streamrobust.verify import (
     random_iterate_sequences,
 )
 
-from conftest import masked_oracle
+from conftest import masked_oracle, sgd_run
 
 SEED = 2026
 # The five-replication slope estimate scatters about 0.05 around its
@@ -289,10 +289,10 @@ def test_criterion_11_huber_l1_coupling():
         np.array([0.7, -0.1, 0.4]), Identity(3), 1.0, point_outliers(0.2, 1000.0)
     )
     stream = sample_arrays(model, 1000, seed=derive_seed(SEED, "couple"))
-    hub = run(
+    hub = sgd_run(
         stream, Huber(tau), StepSchedule(gamma0), 1000, model=model, record_iterates=True
     )
-    lad = run(
+    lad = sgd_run(
         stream, L1(), StepSchedule(gamma0 * tau), 1000, model=model, record_iterates=True
     )
     gap = float(np.max(np.abs(hub.iterates - lad.iterates)))

@@ -19,9 +19,9 @@ from streamrobust.core import (
     substream,
 )
 from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays, tiered_contamination
-from streamrobust.optimizer import run
+from streamrobust.optimizer import oracle_row, run_batch, sgd_row
 
-from conftest import stream_chunks
+from conftest import sgd_run, stream_chunks
 
 
 def test_stream_is_reproducible(point_model):
@@ -50,8 +50,8 @@ def test_lazy_and_eager_paths_agree(mixture_model):
     # 2500 rows cross a chunk boundary: the engine drawing chunk by chunk from
     # the model and the materialized arrays give bit-identical records
     schedule = StepSchedule(0.1)
-    lazy = run(mixture_model, L1(), schedule, 2500, seed=9, record_iterates=True)
-    eager = run(
+    lazy = sgd_run(mixture_model, L1(), schedule, 2500, seed=9, record_iterates=True)
+    eager = sgd_run(
         sample_arrays(mixture_model, 2500, seed=9), L1(), schedule, 2500,
         seed=9, model=mixture_model, record_iterates=True,
     )
@@ -183,6 +183,38 @@ def test_array_chunks_visit_rows_in_order(clean_model):
     assert np.array_equal(np.concatenate([c[1] for c in chunks]), y[order])
     plain = stream_chunks(array_chunks(x, y, corrupted), 3)
     assert np.array_equal(np.concatenate([c[1] for c in plain]), y)
+
+
+@pytest.mark.parametrize(
+    ("given", "refused"),
+    [
+        # unrefused, the gather's clip mode repeats the last row of a short X or flag of a short b
+        (lambda x, y, b: (x[:10], y, b), r"X \(10, 4\), y \(20,\), corrupted \(20,\)"),
+        (lambda x, y, b: (x, y, b[:5]), r"X \(20, 4\), y \(20,\), corrupted \(5,\)"),
+        (lambda x, y, b: (x[:, 0], y, b), r"X \(20,\), y \(20,\), corrupted \(20,\)"),
+        (lambda x, y, b: (x, y.astype(np.int64), b), None),
+        (lambda x, y, b: (x, y, b.astype(np.int64)), None),
+        (lambda x, y, b: (x.tolist(), y, b), None),
+    ],
+    ids=["short-x", "short-b", "1d-x", "int-y", "int-b", "list-x"],
+)
+def test_stream_arrays_must_agree_in_length(given, refused, point_model):
+    # whole-number responses and 0/1 flags, so that their int arrays hold the same values
+    x, y, b = sample_arrays(point_model, 20, seed=2)
+    y, b = np.rint(y), (b != 0.0) * 1.0
+    rows = [[sgd_row(L1(), StepSchedule(0.3), 20, 2, point_model), oracle_row(0.05, 14, 20, point_model)]]
+
+    def records(arrays):
+        return run_batch(rows, [array_chunks(*arrays)], [point_model])[0]
+
+    if refused:
+        with pytest.raises(ValueError, match=rf"^stream arrays disagree: {refused}$"):
+            records(given(x, y, b))
+        return
+    for got, want in zip(records(given(x, y, b)), records((x, y, b))):
+        for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.min_abs_residual == want.min_abs_residual
 
 
 def test_identity_design_draws_equal_the_product_with_eye(clean_model):

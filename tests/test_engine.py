@@ -27,9 +27,9 @@ from streamrobust.core import (
     point_outliers,
 )
 from streamrobust.datagen import CHUNK, _chunk_arrays, array_chunks, sample_arrays
-from streamrobust.optimizer import Estimator, oracle_row, run, run_batch
+from streamrobust.optimizer import Estimator, oracle_row, run_batch
 
-from conftest import masked_oracle
+from conftest import masked_oracle, sgd_run
 from scalar_reference import SgdState, sgd_step
 
 LOSSES = [L1(), L2(), Huber(0.7)]
@@ -374,7 +374,7 @@ def test_masked_row_in_a_cell_matches_least_squares_on_the_clean_rows(point_mode
     corrupted = b != 0.0
     clean = ~corrupted
     n_clean = int(np.count_nonzero(clean))
-    oracle = run((x[clean], y[clean], b[clean]), L2(), StepSchedule(0.05, CONSTANT), n_clean, model=point_model)
+    oracle = sgd_run((x[clean], y[clean], b[clean]), L2(), StepSchedule(0.05, CONSTANT), n_clean, model=point_model)
     rows = [
         Estimator(L1(), StepSchedule(0.2), 3000),
         Estimator(L2(), StepSchedule(0.05, CONSTANT), n_clean, clean_only=True),
@@ -391,7 +391,7 @@ def test_masked_row_in_a_cell_matches_least_squares_on_the_clean_rows(point_mode
 
 def test_record_iterates_replays_the_loop(clean_model):
     x, y, b = sample_arrays(clean_model, CHUNK + 100, seed=4)
-    rec = run((x, y, b), Huber(0.5), StepSchedule(0.3), CHUNK + 100, model=clean_model, record_iterates=True)
+    rec = sgd_run((x, y, b), Huber(0.5), StepSchedule(0.3), CHUNK + 100, model=clean_model, record_iterates=True)
     state = SgdState.start(np.zeros(3), Huber(0.5))
     for k, (x_k, y_k) in enumerate(zip(x, y)):
         assert np.array_equal(rec.iterates[k], state.theta)
@@ -421,7 +421,7 @@ def test_sgd_step_rejects_nan_response(loss):
 def test_run_names_the_nan_response(loss, clean_model):
     stream = _with_nan_response(clean_model, 2000, at=1500)
     with pytest.raises(NonFiniteError, match="non-finite response nan at stream index 1500"):
-        run(stream, loss, StepSchedule(0.2), 2000, model=clean_model)
+        sgd_run(stream, loss, StepSchedule(0.2), 2000, model=clean_model)
 
 
 def test_oracle_names_a_nan_clean_response(clean_model):
@@ -447,10 +447,10 @@ def test_the_earliest_poisoned_row_is_named_its_response_first(clean_model):
     x, y, b = sample_arrays(clean_model, 2000, seed=3)
     x[1200, 2], y[1300] = math.nan, math.inf
     with pytest.raises(NonFiniteError, match=r"^non-finite feature nan at stream index 1200$"):
-        run((x, y, b), L1(), StepSchedule(0.3), 2000, model=clean_model)
+        sgd_run((x, y, b), L1(), StepSchedule(0.3), 2000, model=clean_model)
     y[1200] = -math.inf
     with pytest.raises(NonFiniteError, match=r"^non-finite response -inf at stream index 1200$"):
-        run((x, y, b), L1(), StepSchedule(0.3), 2000, model=clean_model)
+        sgd_run((x, y, b), L1(), StepSchedule(0.3), 2000, model=clean_model)
     # across streams too: stream 1's row 800 comes before stream 0's row 1200
     other = x.copy()
     other[800, 0] = math.inf
@@ -466,7 +466,7 @@ def test_a_non_finite_feature_is_named_instead_of_a_divergence(value, clean_mode
     named = rf"^non-finite feature {re.escape(repr(value))} at stream index 1500$"
     for loss in LOSSES:
         with pytest.raises(NonFiniteError, match=named):
-            run((x, y, b), loss, StepSchedule(0.3), 2000, model=clean_model)
+            sgd_run((x, y, b), loss, StepSchedule(0.3), 2000, model=clean_model)
     with pytest.raises(NonFiniteError, match=named):
         masked_oracle((x, y, b), 0.05, clean_model)
     # a clean_only row skips a corrupted row's step, but its residual there is non-finite and r * 0 is NaN
@@ -500,9 +500,9 @@ def test_rows_of_another_dimension_than_the_model_are_refused_by_name(clean_mode
         run_batch([[Estimator(L1(), StepSchedule(0.3), 50)]], [_chunk_arrays(clean_model, 1, 50)], [flat])
     stream = sample_arrays(clean_model, 50, seed=1)
     with pytest.raises(ValueError, match=refused):
-        run(stream, L1(), StepSchedule(0.3), 50, model=flat)
+        sgd_run(stream, L1(), StepSchedule(0.3), 50, model=flat)
     with pytest.raises(ValueError, match=refused):
-        run(clean_model, L1(), StepSchedule(0.3), 50, model=flat)
+        sgd_run(clean_model, L1(), StepSchedule(0.3), 50, model=flat)
 
 
 @pytest.mark.parametrize("drawn, stepped", [(2, 1), (1, 2)])
@@ -535,14 +535,14 @@ def test_record_iterates_is_keyword_only(clean_model):
 def test_l2_divergence_fails_loudly():
     model = RegressionModel(np.ones(10) / math.sqrt(10.0), Identity(10), 1.0, point_outliers(0.2, 1000.0))
     with pytest.raises(NonFiniteError, match=r"l2 with gamma0=50.0 diverged: non-finite iterate by step \d+"):
-        run(model, L2(), StepSchedule(50.0), 2000, seed=1)
+        sgd_run(model, L2(), StepSchedule(50.0), 2000, seed=1)
     # every residual is finite, but a chunk's last update overflows the iterate
     flat = RegressionModel(np.zeros(2), Identity(2), 1.0, no_outliers())
     for n, last in [(1, 0), (CHUNK, CHUNK - 1), (CHUNK + 5, CHUNK - 1)]:
         x, y = np.zeros((n, 2)), np.zeros(n)
         x[last], y[last] = 2.0, 1e308
         with pytest.raises(NonFiniteError, match=rf"^l2 with gamma0=1.0 diverged: non-finite iterate by step {last + 1}$"):
-            run((x, y, np.zeros(n)), L2(), StepSchedule(1.0, CONSTANT), n, model=flat)
+            sgd_run((x, y, np.zeros(n)), L2(), StepSchedule(1.0, CONSTANT), n, model=flat)
 
 
 def test_an_error_past_the_largest_double_fails_loudly(clean_model):

@@ -14,9 +14,9 @@ from streamrobust.core import (
     point_outliers,
 )
 from streamrobust.datagen import sample_arrays
-from streamrobust.optimizer import Estimator, default_checkpoints, default_gamma0, oracle_row, run, sgd_row
+from streamrobust.optimizer import Estimator, default_checkpoints, default_gamma0, oracle_row, sgd_row
 
-from conftest import masked_oracle
+from conftest import masked_oracle, sgd_run
 from scalar_reference import SgdState, sgd_step
 
 
@@ -132,7 +132,7 @@ def test_row_digests_keep_their_bytes(model_name, l1, huber, oracle, request):
     assert sgd_row(L1(), StepSchedule(0.3), 1000, 7, model).digest == l1
     assert sgd_row(Huber(0.5), StepSchedule(0.2, CONSTANT), 500, 3, model, [10, 100, 500]).digest == huber
     assert oracle_row(0.05, 800, 1000, model).digest == oracle
-    assert run(model, L1(), StepSchedule(0.3), 1000, seed=7).config_digest == l1
+    assert sgd_run(model, L1(), StepSchedule(0.3), 1000, seed=7).config_digest == l1
 
 
 # ---------------------------------------------------------------------------
@@ -140,31 +140,31 @@ def test_row_digests_keep_their_bytes(model_name, l1, huber, oracle, request):
 
 
 def test_run_is_deterministic(point_model):
-    a = run(point_model, L1(), StepSchedule(0.25), 500, seed=3)
-    b = run(point_model, L1(), StepSchedule(0.25), 500, seed=3)
+    a = sgd_run(point_model, L1(), StepSchedule(0.25), 500, seed=3)
+    b = sgd_run(point_model, L1(), StepSchedule(0.25), 500, seed=3)
     assert np.array_equal(a.theta_bar, b.theta_bar)
     assert np.array_equal(a.err_h, b.err_h)
     assert a.config_digest == b.config_digest
 
 
 def test_run_from_arrays_matches_model_source(point_model):
-    # a longer triple: only its first n_steps rows are used
+    # the first n_steps rows of a longer triple: a stream's first rows do not depend on how many are drawn
     stream = sample_arrays(point_model, 600, seed=9)
-    from_model = run(point_model, L1(), StepSchedule(0.25), 400, seed=9)
-    from_arrays = run(stream, L1(), StepSchedule(0.25), 400, model=point_model, seed=9)
+    from_model = sgd_run(point_model, L1(), StepSchedule(0.25), 400, seed=9)
+    from_arrays = sgd_run([a[:400] for a in stream], L1(), StepSchedule(0.25), 400, model=point_model, seed=9)
     assert np.array_equal(from_model.theta_bar, from_arrays.theta_bar)
     assert np.array_equal(from_model.err_h, from_arrays.err_h)
 
 
 def test_run_custom_checkpoints_and_validation(clean_model):
-    rec = run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[10, 50, 100], seed=1)
+    rec = sgd_run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[10, 50, 100], seed=1)
     assert list(rec.steps) == [10, 50, 100]
     with pytest.raises(ValueError, match="strictly increasing"):
-        run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[10, 10], seed=1)
+        sgd_run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[10, 10], seed=1)
     with pytest.raises(ValueError, match=r"\[1, 100\]"):
-        run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[10, 101], seed=1)
+        sgd_run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[10, 101], seed=1)
     with pytest.raises(ValueError, match="empty"):
-        run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[], seed=1)
+        sgd_run(clean_model, L1(), StepSchedule(0.3), 100, checkpoint_plan=[], seed=1)
 
 
 @pytest.mark.parametrize(
@@ -179,14 +179,14 @@ def test_run_custom_checkpoints_and_validation(clean_model):
 )
 def test_run_names_a_plan_or_step_count_that_is_not_whole(clean_model, n_steps, plan, message):
     with pytest.raises(ValueError, match=message):
-        run(clean_model, L1(), StepSchedule(0.3), n_steps, checkpoint_plan=plan, seed=1)
+        sgd_run(clean_model, L1(), StepSchedule(0.3), n_steps, checkpoint_plan=plan, seed=1)
 
 
 def test_run_exhausted_stream_raises(clean_model):
     stream = sample_arrays(clean_model, 10, seed=2)
     # the engine's refusal, the only check of a stream's length
     with pytest.raises(ValueError, match=r"^stream ended after 10 samples with l1 at 10 of 11 steps$"):
-        run(stream, L1(), StepSchedule(0.3), 11, model=clean_model)
+        sgd_run(stream, L1(), StepSchedule(0.3), 11, model=clean_model)
 
 
 def test_an_estimator_keeps_its_checked_step_count_and_plan(clean_model):
@@ -204,42 +204,28 @@ def test_an_estimator_refuses_what_is_not_a_loss():
         Estimator(object(), StepSchedule(1.0), 3)
 
 
-def test_run_requires_model_for_raw_stream(clean_model):
-    stream = sample_arrays(clean_model, 10, seed=2)
-    with pytest.raises(ValueError, match="reference model"):
-        run(stream, L1(), StepSchedule(0.3), 10)
-
-
-def test_stream_arrays_must_agree_in_length(clean_model):
-    x, y, b = sample_arrays(clean_model, 20, seed=2)
-    with pytest.raises(ValueError, match="stream arrays disagree"):
-        run((x[:10], y, b), L1(), StepSchedule(0.3), 10, model=clean_model)
-    with pytest.raises(ValueError, match="stream arrays disagree"):
-        run((x, y, b[:5]), L1(), StepSchedule(0.3), 10, model=clean_model)
-
-
 def test_run_theta0_and_iterates(clean_model):
     # every row starts at 0
-    rec = run(clean_model, L1(), StepSchedule(0.3), 50, seed=4, record_iterates=True)
+    rec = sgd_run(clean_model, L1(), StepSchedule(0.3), 50, seed=4, record_iterates=True)
     assert rec.iterates.shape == (50, 3)
     assert np.array_equal(rec.iterates[0], np.zeros(3))
 
 
 def test_run_converges_on_clean_stream(clean_model):
-    rec = run(clean_model, L1(), StepSchedule(1.0 / 3.0), 20000, seed=7)
+    rec = sgd_run(clean_model, L1(), StepSchedule(1.0 / 3.0), 20000, seed=7)
     assert rec.final_err_h < rec.err_h[0] / 50.0
     assert rec.final_err_h < 5e-3
 
 
 def test_run_min_abs_residual_tracked(clean_model):
-    rec = run(clean_model, L1(), StepSchedule(0.3), 1000, seed=5)
+    rec = sgd_run(clean_model, L1(), StepSchedule(0.3), 1000, seed=5)
     assert 0.0 <= rec.min_abs_residual < 0.1
 
 
 def test_huber_large_tau_equals_l2(clean_model):
     stream = sample_arrays(clean_model, 300, seed=8)
-    hub = run(stream, Huber(1e12), StepSchedule(0.2), 300, model=clean_model)
-    sq = run(stream, L2(), StepSchedule(0.2), 300, model=clean_model)
+    hub = sgd_run(stream, Huber(1e12), StepSchedule(0.2), 300, model=clean_model)
+    sq = sgd_run(stream, L2(), StepSchedule(0.2), 300, model=clean_model)
     assert np.array_equal(hub.theta_last, sq.theta_last)
 
 
@@ -248,8 +234,8 @@ def test_huber_small_tau_tracks_scaled_l1(clean_model):
     # step sizes tau * gamma_n, as long as no residual enters the quadratic zone
     tau = 1e-6
     stream = sample_arrays(clean_model, 500, seed=10)
-    hub = run(stream, Huber(tau), StepSchedule(0.4), 500, model=clean_model)
-    lad = run(stream, L1(), StepSchedule(0.4 * tau), 500, model=clean_model)
+    hub = sgd_run(stream, Huber(tau), StepSchedule(0.4), 500, model=clean_model)
+    lad = sgd_run(stream, L1(), StepSchedule(0.4 * tau), 500, model=clean_model)
     assert hub.min_abs_residual > tau
     assert np.allclose(hub.theta_last, lad.theta_last, rtol=0.0, atol=1e-12)
 
@@ -274,5 +260,5 @@ def test_oracle_vs_contaminated_l2(point_model):
     # the whole point of the oracle: squared loss on the full stream is wrecked
     stream = sample_arrays(point_model, 5000, seed=14)
     oracle = masked_oracle(stream, 0.05, point_model)
-    naive = run(stream, L2(), StepSchedule(default_gamma0(point_model)), 5000, model=point_model)
+    naive = sgd_run(stream, L2(), StepSchedule(default_gamma0(point_model)), 5000, model=point_model)
     assert naive.final_err_h > 100.0 * oracle.final_err_h

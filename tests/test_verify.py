@@ -27,7 +27,7 @@ from streamrobust.core import (
     substream,
 )
 from streamrobust.datagen import CHUNK, sample_arrays
-from streamrobust.optimizer import default_checkpoints, run
+from streamrobust.optimizer import default_checkpoints
 from streamrobust.verify import (
     CHECK_GROUPS,
     CheckResult,
@@ -47,6 +47,7 @@ from streamrobust.verify import (
     suite_passed,
     z_result,
 )
+from conftest import sgd_run
 from mc_reference import whole_piece_mc_expected_loss
 import pointwise_reference
 
@@ -354,13 +355,13 @@ def test_moment_bounds_keep_their_bytes(n, replications, seed, lines):
 
 
 def _moment_lines_from_runs(model, schedule, n, replications, seed):
-    """The two moment_bounds lines, from one `run` per replication on its rows of `sample_arrays`."""
+    """The two moment_bounds lines, from one `sgd_row` run per replication on its rows of `sample_arrays`."""
     x, y, b = sample_arrays(model, n * replications, seed)
     ks = default_checkpoints(n)
     theta_ks = []
     for r in range(replications):
         rows = slice(r * n, (r + 1) * n)
-        rec = run((x[rows], y[rows], b[rows]), L1(), schedule, n, [n], seed, model=model, record_iterates=True)
+        rec = sgd_run((x[rows], y[rows], b[rows]), L1(), schedule, n, [n], seed, model=model, record_iterates=True)
         theta_ks.append(np.vstack([rec.iterates[ks[:-1]], rec.theta_last]))
     sq = np.sum((np.stack(theta_ks, axis=1) - model.theta_star) ** 2, axis=2)
     dist0sq, g, r2, ln_ek = float(np.sum(model.theta_star**2)), schedule.gamma0, model.design.r2, 1.0 + np.log(ks)
