@@ -121,21 +121,6 @@ def _number(low=None, high=None, low_open=False, high_open=False):
     return parse
 
 
-def _names(allowed: Tuple[str, ...]):
-    def parse(text: str) -> Tuple[str, ...]:
-        names = tuple(part.strip() for part in text.split(",") if part.strip())
-        if not names:
-            raise ValueError("empty list")
-        bad = [n for n in names if n not in allowed]
-        if bad:
-            raise ValueError(f"unknown entries {bad}, allowed {sorted(allowed)}")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate entries in {names}")
-        return names
-
-    return parse
-
-
 def _choice(noun: str, allowed: Tuple[str, ...]):
     def parse(text: str) -> str:
         if text not in allowed:
@@ -145,19 +130,20 @@ def _choice(noun: str, allowed: Tuple[str, ...]):
     return parse
 
 
-def _eta_grid(text: str) -> Tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty grid")
-    values = [_number()(p) for p in parts]
-    for v in values:
-        if not (0.0 <= v < 1.0):
-            raise ValueError(f"entries must lie in [0, 1), got {v!r}")
-    if values != sorted(values):
-        raise ValueError(f"must be ascending, got {values}")
-    if len(set(values)) != len(values):
-        raise ValueError(f"duplicate entries in {values}")
-    return tuple(values)
+def _listed(entry, ascending=False):
+    """Distinct comma-separated entries, each read by `entry`; in ascending order if asked."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(entry(part.strip()) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("empty list")
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate entries in {values}")
+        if ascending and list(values) != sorted(values):
+            raise ValueError(f"must be ascending, got {list(values)}")
+        return values
+
+    return parse
 
 
 # One rule per config key, shared by every config class that has the key.
@@ -166,12 +152,12 @@ _KEY_RULES = {
     "dim": _integer(),
     "sigma": _number(low=0.0, low_open=True),
     "eta": _number(low=0.0, high=1.0, high_open=True),
-    "eta_grid": _eta_grid,
+    "eta_grid": _listed(_number(low=0.0, high=1.0, high_open=True), ascending=True),
     "passes": _integer(),
     "replications": _integer(),
-    "losses": _names(CONVERGENCE_LOSSES),
-    "estimators": _names(BREAKDOWN_ESTIMATORS),
-    "covariances": _names(COVARIANCE_NAMES),
+    "losses": _listed(_choice("loss", CONVERGENCE_LOSSES)),
+    "estimators": _listed(_choice("estimator", BREAKDOWN_ESTIMATORS)),
+    "covariances": _listed(_choice("covariance", COVARIANCE_NAMES)),
     "covariance": _choice("name", COVARIANCE_NAMES),
     "preset": _choice("preset", PRESETS),
     "outlier_value": _number(),

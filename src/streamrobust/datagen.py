@@ -98,12 +98,17 @@ def array_chunks(x: np.ndarray, y: np.ndarray, b: np.ndarray, order=None) -> Ite
     not copied), so integer or boolean entries and lists run as their
     float64 arrays. The call itself, before any chunk is written, raises a
     ValueError naming the shapes unless X is 2-D and y and b hold one entry
-    per row of X.
+    per row of X, and one naming the order unless it is a 1-D array of
+    integer row indices in [0, n).
     """
     x, y, b = (np.asarray(a, dtype=float) for a in (x, y, b))
     if x.ndim != 2 or y.shape != (x.shape[0],) or b.shape != y.shape:
         raise ValueError(f"stream arrays disagree: X {x.shape}, y {y.shape}, corrupted {b.shape}")
-    order = np.arange(y.size) if order is None else order
+    order = np.arange(y.size) if order is None else np.asarray(order)
+    if order.ndim != 1 or not np.issubdtype(order.dtype, np.integer):
+        raise ValueError(f"order must be 1-D integer row indices, got {order.dtype} of shape {order.shape}")
+    if order.size and not (0 <= order.min() and order.max() < y.size):
+        raise ValueError(f"order must index rows in [0, {y.size}), got entries from {order.min()} to {order.max()}")
     return (partial(_gathered_chunk, x, y, b, order[start : start + CHUNK]) for start in range(0, order.size, CHUNK))
 
 
@@ -111,7 +116,7 @@ def _gathered_chunk(x_all, y_all, b_all, idx, x, y, b) -> int:
     """Gather rows `idx` of stored arrays into the first rows of x, y and b."""
     _check_width(x_all.shape[1], x)
     rows = idx.size
-    # mode="clip": the indices are in range, and "raise" would gather into a temporary
+    # mode="clip": array_chunks checked the indices, and "raise" would gather into a temporary
     for source, out in ((x_all, x), (y_all, y), (b_all, b)):
         np.take(source, idx, axis=0, out=out[:rows], mode="clip")
     return rows

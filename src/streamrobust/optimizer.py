@@ -63,7 +63,6 @@ from numpy._core.umath import clip as _clip
 
 from .core import (
     CONSTANT,
-    Identity,
     L1,
     L2,
     Loss,
@@ -264,7 +263,7 @@ class _Grid:
         self.errs, self.col = np.empty((3, self.at[-1])), self.at[:-1].copy()
         self.marks = np.concatenate([part for row in rows for part in (row.plan, [row.n_steps + 1])])
         self.theta_star = np.array([m.theta_star for m in models])
-        self.hs = [None if isinstance(m.covariance, Identity) else m.design.h for m in models]
+        self.hs = [m.design.h for m in models]
 
 
 def _own_steps(g, corrupted, done, seen):
@@ -319,9 +318,7 @@ def _pauses(g, own, done):
 
 
 def _errors(bar, last, h) -> tuple:
-    """(err_H, err_2, err_last_H), each value one vecdot, a ddot, whatever the call holds; h is None for I."""
-    if h is None:  # diff . (diff @ I) is diff . diff bit for bit
-        return (norm := vecdot(bar, bar)), norm, vecdot(last, last)
+    """(err_H, err_2, err_last_H), each value one vecdot, a ddot, whatever the call holds."""
     return vecdot(bar, vecdot(bar, h)), vecdot(bar, bar), vecdot(last, vecdot(last, h))
 
 

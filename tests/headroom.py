@@ -10,9 +10,11 @@ quantiles over the seeds and how many seeds fail the test's own limit.
 
     python3 tests/headroom.py --seeds 1000:1020 [--only 05]
 
-pytest collects only `test_*.py`, so the suite never runs this file. A
-change that redraws data or moves the engine's arithmetic reports the
-parent's and its own distributions; the committed seeds stay the gate.
+pytest collects only `test_*.py`; the suite runs this file only in
+`test_hand_run_tools.py`, on one seed in a process of its own, to check
+that it still runs and reports. A change that redraws data or moves the
+engine's arithmetic reports the parent's and its own distributions; the
+committed seeds stay the gate.
 """
 
 import argparse

@@ -16,7 +16,9 @@ bound: no normal law is expected there, so it prints the quantiles of the
     python3 tests/mc_calibration.py --seeds 6000:7500
     python3 tests/mc_calibration.py --group moment_bounds --seeds 20260816:20261016
 
-pytest collects only `test_*.py`, so the suite never runs this file.
+pytest collects only `test_*.py`; the suite runs this file only in
+`test_hand_run_tools.py`, on one seed of each group, to check that it still
+runs and reports.
 """
 
 import argparse

@@ -146,11 +146,31 @@ def test_breakdown_config_grid_errors():
         ("0.5, 0.2", "ascending"),
         ("0.2, 0.2", "duplicate"),
         ("0.2, nope", "number"),
-        ("1.5", "[0, 1)"),
+        ("1.5", "must be < 1.0, got 1.5"),  # worded as the same entry of the key eta is
     ]:
         cfg, errors = config_from_mapping(BreakdownConfig, {"eta_grid": bad})
         assert cfg is None, bad
         assert any(frag in e for e in errors), (bad, errors)
+
+
+@pytest.mark.parametrize(
+    ("config_class", "key", "good", "refused"),
+    [
+        (ConvergenceConfig, "losses", "l1", {"l1, l7": f"unknown loss 'l7', allowed {list(CONVERGENCE_LOSSES)}"}),
+        (BreakdownConfig, "estimators", "huber", {"huber, l7": f"unknown estimator 'l7', allowed {list(BREAKDOWN_ESTIMATORS)}"}),
+        (ConvergenceConfig, "covariances", "spectrum", {"diag": f"unknown covariance 'diag', allowed {list(COVARIANCE_NAMES)}"}),
+        # a grid's entries are read as eta is, and must also ascend
+        (BreakdownConfig, "eta_grid", "0.3", {"0.3, -0.1": "must be >= 0.0, got -0.1", "0.3, 0.1": "must be ascending"}),
+    ],
+)
+def test_a_list_key_refuses_an_empty_list_a_duplicate_and_a_bad_entry(config_class, key, good, refused):
+    for text, reason in {" , ": "empty list", f"{good}, {good}": "duplicate entries in (", **refused}.items():
+        cfg, errors = config_from_mapping(config_class, {key: text})
+        assert cfg is None, text
+        # one error per list, as for every other key, naming the key first
+        assert len(errors) == 1 and errors[0].startswith(f"{key}: {reason}"), (text, errors)
+    cfg, errors = config_from_mapping(config_class, {key: good})
+    assert errors == [] and len(getattr(cfg, key)) == 1
 
 
 # ---------------------------------------------------------------------------

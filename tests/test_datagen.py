@@ -189,14 +189,20 @@ def test_array_chunks_visit_rows_in_order(clean_model):
     ("given", "refused"),
     [
         # unrefused, the gather's clip mode repeats the last row of a short X or flag of a short b
-        (lambda x, y, b: (x[:10], y, b), r"X \(10, 4\), y \(20,\), corrupted \(20,\)"),
-        (lambda x, y, b: (x, y, b[:5]), r"X \(20, 4\), y \(20,\), corrupted \(5,\)"),
-        (lambda x, y, b: (x[:, 0], y, b), r"X \(20,\), y \(20,\), corrupted \(20,\)"),
+        (lambda x, y, b: (x[:10], y, b), r"stream arrays disagree: X \(10, 4\), y \(20,\), corrupted \(20,\)"),
+        (lambda x, y, b: (x, y, b[:5]), r"stream arrays disagree: X \(20, 4\), y \(20,\), corrupted \(5,\)"),
+        (lambda x, y, b: (x[:, 0], y, b), r"stream arrays disagree: X \(20,\), y \(20,\), corrupted \(20,\)"),
+        # and clips an order's indices into the rows: 0, 50, -3 would visit rows 0, 19, 0
+        (lambda x, y, b: (x, y, b, np.array([0, 50, -3])), r"order must index rows in \[0, 20\), got entries from -3 to 50"),
+        (lambda x, y, b: (x, y, b, np.arange(20).reshape(4, 5)), r"order must be 1-D integer row indices, got int64 of shape \(4, 5\)"),
+        (lambda x, y, b: (x, y, b, np.arange(20.0)), r"order must be 1-D integer row indices, got float64 of shape \(20,\)"),
         (lambda x, y, b: (x, y.astype(np.int64), b), None),
         (lambda x, y, b: (x, y, b.astype(np.int64)), None),
         (lambda x, y, b: (x.tolist(), y, b), None),
+        (lambda x, y, b: (x, y, b, list(range(20))), None),
     ],
-    ids=["short-x", "short-b", "1d-x", "int-y", "int-b", "list-x"],
+    ids=["short-x", "short-b", "1d-x", "order-out-of-range", "2d-order", "float-order", "int-y", "int-b", "list-x",
+         "list-order"],
 )
 def test_stream_arrays_must_agree_in_length(given, refused, point_model):
     # whole-number responses and 0/1 flags, so that their int arrays hold the same values
@@ -208,8 +214,8 @@ def test_stream_arrays_must_agree_in_length(given, refused, point_model):
         return run_batch(rows, [array_chunks(*arrays)], [point_model])[0]
 
     if refused:
-        with pytest.raises(ValueError, match=rf"^stream arrays disagree: {refused}$"):
-            records(given(x, y, b))
+        with pytest.raises(ValueError, match=rf"^{refused}$"):
+            array_chunks(*given(x, y, b))  # the call refuses, before any chunk is written
         return
     for got, want in zip(records(given(x, y, b)), records((x, y, b))):
         for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):

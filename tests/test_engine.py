@@ -283,7 +283,8 @@ def test_a_checkpoint_errors_do_not_depend_on_its_call_mates(d):
 
 @pytest.mark.parametrize("d", [4, 100])
 def test_an_identity_design_records_the_bits_of_an_explicit_identity(d):
-    # the H forms of an identity design are squared norms, with no product by I
+    # every design's H forms take the product by H; against I, each sum adds only exact zeros,
+    # so an identity design's err_H is its squared norm err_2 bit for bit
     n, rng = CHUNK + 300, np.random.default_rng(d)
     theta_star = rng.standard_normal(d)
     models = [RegressionModel(theta_star, cov, 1.0, no_outliers()) for cov in (Identity(d), Explicit(np.eye(d)))]
@@ -293,6 +294,7 @@ def test_an_identity_design_records_the_bits_of_an_explicit_identity(d):
     rows = [Estimator(L1(), StepSchedule(0.5 / d), n), Estimator(Huber(0.7), StepSchedule(0.2 / d, CONSTANT), n)]
     (same, explicit) = (run_batch([rows], [array_chunks(*stream)], [m])[0] for m in models)
     for a, b in zip(same, explicit):
+        assert np.array_equal(a.err_h, a.err_2)
         for name in ("err_h", "err_2", "err_last_h", "theta_bar", "theta_last"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
